@@ -16,32 +16,13 @@
 //! distinct keys with FNV's usual collision odds.
 
 use crate::ops::ScenarioDelta;
-use serde::{Content, Serialize};
+use serde::Serialize;
 
 /// Renders any serialisable value as canonical JSON: compact, with every
-/// object's keys sorted. Two semantically equal content trees always
-/// produce byte-identical text.
+/// object's keys sorted (stably, byte-wise). Two semantically equal
+/// content trees always produce byte-identical text.
 pub fn canonical_json<T: Serialize + ?Sized>(value: &T) -> String {
-    let mut content = value.to_content();
-    sort_maps(&mut content);
-    serde_json::to_string(&serde_json::Value(content)).expect("canonical render cannot fail")
-}
-
-fn sort_maps(content: &mut Content) {
-    match content {
-        Content::Map(entries) => {
-            for (_, v) in entries.iter_mut() {
-                sort_maps(v);
-            }
-            entries.sort_by(|(a, _), (b, _)| a.cmp(b));
-        }
-        Content::Seq(items) => {
-            for item in items {
-                sort_maps(item);
-            }
-        }
-        _ => {}
-    }
+    serde_json::to_string_sorted(value).expect("canonical render cannot fail")
 }
 
 /// 64-bit FNV-1a — the content hash behind every cache key. Hand-rolled

@@ -200,6 +200,18 @@ impl ScheduleCache {
     /// miss quietly too (left for `get`/`insert` to reap — the fast
     /// path never takes a write lock).
     pub fn probe_wire(&self, key: u64) -> Option<(Arc<str>, Arc<str>)> {
+        self.probe_with(key, |entry| (Arc::clone(&entry.payload), entry.wire()))
+    }
+
+    /// [`probe_wire`](Self::probe_wire) without the wire form: counts a
+    /// hit, misses quietly. For a probe that precedes the request's own
+    /// counted lookup (a delta write tries its derived key first), so
+    /// that one request counts at most one miss.
+    pub(crate) fn probe(&self, key: u64) -> Option<Arc<str>> {
+        self.probe_with(key, |entry| Arc::clone(&entry.payload))
+    }
+
+    fn probe_with<R>(&self, key: u64, hit: impl FnOnce(&Entry) -> R) -> Option<R> {
         if self.capacity == 0 {
             return None;
         }
@@ -209,7 +221,7 @@ impl ScheduleCache {
                 let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
                 entry.stamp.store(tick, Ordering::Relaxed);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some((Arc::clone(&entry.payload), entry.wire()))
+                Some(hit(entry))
             }
             _ => None,
         }

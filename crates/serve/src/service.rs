@@ -238,7 +238,10 @@ pub enum Submission {
 }
 
 struct Job {
-    canonical: CanonicalJob,
+    /// Content key of `spec`.
+    key: u64,
+    /// The canonical spec, shared with the delta-base store.
+    spec: Arc<JobSpec>,
     slot: Arc<ResponseSlot<JobResult>>,
 }
 
@@ -444,7 +447,7 @@ impl Service {
     }
 
     /// The non-blocking half of [`schedule_with_id`](Self::schedule_with_id):
-    /// runs admission (dedup, canonicalization, cache probe,
+    /// canonicalises the job, then runs admission (dedup, cache probe,
     /// single-flight, queueing) and returns without waiting. A cache hit
     /// or admission error is [`Submission::Ready`]; queued leaders and
     /// coalesced followers get [`Submission::Queued`] with the slot the
@@ -453,26 +456,49 @@ impl Service {
     /// thread on it.
     pub fn submit_with_id(&self, spec: &JobSpec, request_id: Option<&str>) -> Submission {
         let inner = &self.inner;
-        let sub: Option<&dyn Subscriber> = Some(&inner.recorder);
-        // Dedup *check* only — a `&str` set lookup, no clone. Recording
-        // the id (which allocates) is deferred to the miss path via
-        // `note_admitted`: a retried request that hits the cache is
-        // already free, so paying an allocation to count it as a dedup
-        // would tax exactly the path we keep hot.
+        self.note_retry(request_id);
+        match CanonicalJob::new(spec, &inner.registry) {
+            Ok(CanonicalJob { spec, key, .. }) => {
+                self.admit(key, request_id, move || Arc::new(spec))
+            }
+            Err(e) => {
+                inner.errors.fetch_add(1, Ordering::Relaxed);
+                Submission::Ready(Err(ServiceError::from(e)))
+            }
+        }
+    }
+
+    /// Failover-dedup *check* only — a `&str` set lookup, no clone.
+    /// Recording the id (which allocates) is deferred to the miss path
+    /// via `note_admitted`: a retried request that hits the cache is
+    /// already free, so paying an allocation to count it as a dedup
+    /// would tax exactly the path we keep hot.
+    fn note_retry(&self, request_id: Option<&str>) {
+        let inner = &self.inner;
         if let Some(id) = request_id {
             let seen = inner.seen_ids.lock().expect("seen ids poisoned");
             if seen.contains(id) {
                 inner.deduped.fetch_add(1, Ordering::Relaxed);
+                let sub: Option<&dyn Subscriber> = Some(&inner.recorder);
                 counter!(sub, "serve.failover.dedup");
             }
         }
-        let canonical = match CanonicalJob::new(spec, &inner.registry) {
-            Ok(canonical) => canonical,
-            Err(e) => {
-                inner.errors.fetch_add(1, Ordering::Relaxed);
-                return Submission::Ready(Err(ServiceError::from(e)));
-            }
-        };
+    }
+
+    /// Admission of one canonical job by content key: count the request,
+    /// then hit, coalesce or lead (enqueue). Every canonicalised request,
+    /// full or delta, is counted here and nowhere else, and counts one
+    /// hit, miss or coalesce. `spec` yields the canonical spec and runs
+    /// only when the job is admitted (coalesced or enqueued), never on a
+    /// hit.
+    fn admit(
+        &self,
+        key: u64,
+        request_id: Option<&str>,
+        spec: impl FnOnce() -> Arc<JobSpec>,
+    ) -> Submission {
+        let inner = &self.inner;
+        let sub: Option<&dyn Subscriber> = Some(&inner.recorder);
         inner.requests.fetch_add(1, Ordering::Relaxed);
         counter!(sub, "serve.request");
         let shutting_down = || {
@@ -487,16 +513,16 @@ impl Service {
             // entry (both under this lock), hence a request that finds
             // no entry and misses the cache is a genuine leader.
             let mut inflight = inner.inflight.lock().expect("inflight poisoned");
-            if let Some(waiters) = inflight.get_mut(&canonical.key) {
+            if let Some(waiters) = inflight.get_mut(&key) {
                 waiters.push(Arc::clone(&slot));
                 inner.coalesced.fetch_add(1, Ordering::Relaxed);
                 counter!(sub, "serve.coalesced");
                 drop(inflight);
-                note_admitted(inner, sub, request_id, &canonical);
-            } else if let Some(payload) = inner.cache.get(canonical.key) {
+                note_admitted(inner, sub, request_id, key, &spec());
+            } else if let Some(payload) = inner.cache.get(key) {
                 counter!(sub, "serve.cache.hit");
                 return Submission::Ready(Ok(ScheduleReply {
-                    key: canonical.key_hex(),
+                    key: key_hex(key),
                     cached: true,
                     payload,
                 }));
@@ -505,10 +531,11 @@ impl Service {
                 if inner.shutting_down.load(Ordering::SeqCst) {
                     return Submission::Ready(Err(shutting_down()));
                 }
-                note_admitted(inner, sub, request_id, &canonical);
-                let key = canonical.key;
+                let spec = spec();
+                note_admitted(inner, sub, request_id, key, &spec);
                 let job = Job {
-                    canonical,
+                    key,
+                    spec,
                     slot: Arc::clone(&slot),
                 };
                 match inner.queue.try_push(job) {
@@ -521,14 +548,16 @@ impl Service {
         } else {
             // Caching disabled: every request is an independent solve
             // (the cache still counts the forced miss).
-            let _ = inner.cache.get(canonical.key);
+            let _ = inner.cache.get(key);
             counter!(sub, "serve.cache.miss");
             if inner.shutting_down.load(Ordering::SeqCst) {
                 return Submission::Ready(Err(shutting_down()));
             }
-            note_admitted(inner, sub, request_id, &canonical);
+            let spec = spec();
+            note_admitted(inner, sub, request_id, key, &spec);
             let job = Job {
-                canonical,
+                key,
+                spec,
                 slot: Arc::clone(&slot),
             };
             if let Err(e) = inner.queue.try_push(job) {
@@ -663,19 +692,20 @@ impl Service {
         let derived = derived_key(base_key, ops);
         // Fast path: the derived scenario was already solved here (or a
         // previous delta aliased it) — answer straight from the cache.
-        if inner.cache.is_enabled() {
-            if let Some(payload) = inner.cache.get(derived) {
-                inner.requests.fetch_add(1, Ordering::Relaxed);
-                counter!(sub, "serve.cache.hit");
-                return (
-                    derived,
-                    Submission::Ready(Ok(ScheduleReply {
-                        key: key_hex(derived),
-                        cached: true,
-                        payload,
-                    })),
-                );
-            }
+        // The probe counts only a hit: on a miss, admission below counts
+        // this request's one miss (or it never becomes a request at all).
+        if let Some(payload) = inner.cache.probe(derived) {
+            inner.requests.fetch_add(1, Ordering::Relaxed);
+            counter!(sub, "serve.request");
+            counter!(sub, "serve.cache.hit");
+            return (
+                derived,
+                Submission::Ready(Ok(ScheduleReply {
+                    key: key_hex(derived),
+                    cached: true,
+                    payload,
+                })),
+            );
         }
         let spec = {
             let specs = inner.specs.lock().expect("specs poisoned");
@@ -719,20 +749,21 @@ impl Service {
         patched_spec.workload = Workload::Explicit {
             deployment: patched.deployment,
         };
-        // Canonicalise once up front so the derived key can serve as a
-        // base for *chained* deltas (ops against the canonical patched
-        // form), then submit the canonical spec — canonicalisation is
-        // idempotent, so the inner pass lands on the same content key.
-        let canonical = match CanonicalJob::new(&patched_spec, &inner.registry) {
+        // Canonicalise once: the canonical patched spec is both the base
+        // that *chained* deltas index into (stored under the derived key)
+        // and the job admission keys on — one shared copy for both.
+        let CanonicalJob { spec, key, .. } = match CanonicalJob::new(&patched_spec, &inner.registry)
+        {
             Ok(canonical) => canonical,
             Err(e) => {
                 inner.errors.fetch_add(1, Ordering::Relaxed);
                 return (derived, Submission::Ready(Err(ServiceError::from(e))));
             }
         };
-        let canonical_spec = Arc::new(canonical.spec.clone());
-        inner.store_spec(derived, &canonical_spec);
-        (derived, self.submit_with_id(&canonical.spec, request_id))
+        let spec = Arc::new(spec);
+        inner.store_spec(derived, &spec);
+        self.note_retry(request_id);
+        (derived, self.admit(key, request_id, move || spec))
     }
 
     /// Completes a delta request: aliases a successful payload under the
@@ -851,7 +882,7 @@ impl Service {
                     .inflight
                     .lock()
                     .expect("inflight poisoned")
-                    .remove(&job.canonical.key);
+                    .remove(&job.key);
                 match waiters {
                     Some(waiters) => {
                         for w in waiters {
@@ -880,14 +911,15 @@ impl Service {
 /// Miss-path admission bookkeeping, deliberately **not** run on cache
 /// hits: records the request id for failover-retry dedup (allocates the
 /// id's `String`) and registers the canonical spec as a delta base
-/// (clones the spec). Both allocations are pinned by the
+/// (allocates its shared `Arc`). Both allocations are pinned by the
 /// `serve.admission.alloc` counter so a regression that re-runs them on
 /// the hit path fails a test instead of quietly taxing every request.
 fn note_admitted(
     inner: &Inner,
     sub: Option<&dyn Subscriber>,
     request_id: Option<&str>,
-    canonical: &CanonicalJob,
+    key: u64,
+    spec: &Arc<JobSpec>,
 ) {
     if let Some(id) = request_id {
         let mut seen = inner.seen_ids.lock().expect("seen ids poisoned");
@@ -898,13 +930,13 @@ fn note_admitted(
             counter!(sub, "serve.admission.alloc");
         }
     }
-    inner.store_spec(canonical.key, &Arc::new(canonical.spec.clone()));
+    inner.store_spec(key, spec);
     counter!(sub, "serve.admission.alloc");
 }
 
 fn worker_loop(inner: &Inner) {
     while let Some(job) = inner.queue.pop() {
-        let key = job.canonical.key;
+        let key = job.key;
         {
             // Skip the solve when every waiter's deadline expired while
             // the job sat queued — no point burning a worker on ghosts.
@@ -920,7 +952,7 @@ fn worker_loop(inner: &Inner) {
             }
         }
         let sub: Option<&dyn Subscriber> = Some(&inner.recorder);
-        let result = catch_unwind(AssertUnwindSafe(|| solve(inner, &job.canonical)))
+        let result = catch_unwind(AssertUnwindSafe(|| solve(inner, key, &job.spec)))
             .unwrap_or_else(|panic| {
                 Err(ServiceError::new(
                     CODE_INTERNAL,
@@ -984,8 +1016,7 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("opaque panic payload")
 }
 
-fn solve(inner: &Inner, canonical: &CanonicalJob) -> JobResult {
-    let spec = &canonical.spec;
+fn solve(inner: &Inner, key: u64, spec: &JobSpec) -> JobResult {
     let deployment: Deployment = match &spec.workload {
         Workload::Generated { scenario, seed } => scenario.generate(*seed),
         Workload::Explicit { deployment } => deployment.clone(),
@@ -1031,7 +1062,7 @@ fn solve(inner: &Inner, canonical: &CanonicalJob) -> JobResult {
         schedule: run.schedule,
     };
     Ok(ScheduleReply {
-        key: canonical.key_hex(),
+        key: key_hex(key),
         cached: false,
         payload: Arc::from(canonical_json(&outcome)),
     })
@@ -1405,6 +1436,75 @@ mod tests {
             .unwrap();
         assert_ne!(second.payload, first.payload);
         assert!(second.outcome().is_ok());
+        service.shutdown(true);
+    }
+
+    #[test]
+    fn delta_writes_count_each_request_exactly_once() {
+        let (spec, _) = explicit_job();
+        let service = Service::start(quick_config()).unwrap();
+        let holds = |step: &str| {
+            let s = service.stats();
+            assert_eq!(
+                s.cache_hits + s.cache_misses + s.coalesced,
+                s.requests,
+                "hits + misses + coalesced == requests after {step}: {s:?}"
+            );
+        };
+        let base = service.schedule(&spec, None).unwrap();
+        holds("the base solve");
+        let first = service
+            .schedule_delta(&base.key, &sample_ops(), None, None)
+            .unwrap();
+        assert!(!first.cached);
+        holds("a delta miss");
+        let again = service
+            .schedule_delta(&base.key, &sample_ops(), None, None)
+            .unwrap();
+        assert!(again.cached);
+        holds("the same delta again");
+        let more = vec![rfid_delta::ScenarioDelta::SetReaderAlive {
+            reader: 0,
+            alive: false,
+        }];
+        service
+            .schedule_delta(&first.key, &more, None, None)
+            .unwrap();
+        holds("a chained delta");
+        let err = service
+            .schedule_delta("00000000deadbeef", &sample_ops(), None, None)
+            .unwrap_err();
+        assert_eq!(err.code, CODE_BASE_MISS);
+        holds("a base-miss");
+        let err = service
+            .schedule_delta("not-a-key", &sample_ops(), None, None)
+            .unwrap_err();
+        assert_eq!(err.code, CODE_BAD_REQUEST);
+        holds("a malformed base key");
+        let s = service.stats();
+        assert_eq!((s.requests, s.cache_hits, s.cache_misses), (4, 1, 3));
+        service.shutdown(true);
+    }
+
+    #[test]
+    fn a_delta_write_stores_one_shared_spec() {
+        let (spec, _) = explicit_job();
+        let service = Service::start(quick_config()).unwrap();
+        let base = service.schedule(&spec, None).unwrap();
+        let reply = service
+            .schedule_delta(&base.key, &sample_ops(), None, None)
+            .unwrap();
+        let derived = parse_key_hex(&reply.key).unwrap();
+        let specs = service.inner.specs.lock().unwrap();
+        // Base, derived and canonical keys: the derived and canonical
+        // entries are one allocation.
+        assert_eq!(specs.len(), 3);
+        let shared = specs
+            .values()
+            .filter(|s| Arc::ptr_eq(s, &specs[&derived]))
+            .count();
+        assert_eq!(shared, 2);
+        drop(specs);
         service.shutdown(true);
     }
 
