@@ -244,7 +244,6 @@ pub struct McsOptions<'a> {
     max_slots: Option<usize>,
     subscriber: Option<&'a dyn Subscriber>,
     slot_metrics: bool,
-    initial_unread: Option<&'a TagSet>,
 }
 
 impl<'a> McsOptions<'a> {
@@ -298,16 +297,6 @@ impl<'a> McsOptions<'a> {
     /// [`McsRun::slot_metrics`].
     pub fn slot_metrics(mut self, collect: bool) -> Self {
         self.slot_metrics = collect;
-        self
-    }
-
-    /// Starts the loop from a caller-provided unread set instead of
-    /// all-unread: tags already marked read are treated as served
-    /// before slot one. The incremental repair engine uses this to
-    /// re-solve only the dirty suffix of a patched scenario. The set's
-    /// length must match the deployment's tag count.
-    pub fn initial_unread(mut self, unread: &'a TagSet) -> Self {
-        self.initial_unread = Some(unread);
         self
     }
 
@@ -390,17 +379,7 @@ pub fn covering_schedule_with(
     let resilient = options.fault_policy == FaultPolicy::Resilient;
     let max_slots = options.budget();
     let _run_span = span!(sub, "mcs.covering_schedule");
-    let mut unread = match options.initial_unread {
-        Some(initial) => {
-            assert_eq!(
-                initial.len(),
-                deployment.n_tags(),
-                "initial_unread length must match the deployment's tag count"
-            );
-            initial.clone()
-        }
-        None => TagSet::all_unread(deployment.n_tags()),
-    };
+    let mut unread = TagSet::all_unread(deployment.n_tags());
     let uncoverable: Vec<TagId> = (0..deployment.n_tags())
         .filter(|&t| !coverage.is_coverable(t))
         .collect();
@@ -485,15 +464,7 @@ pub fn covering_schedule_with(
     };
     let mut slots = Vec::new();
     let mut slot_metrics = Vec::new();
-    // Target only what is both coverable and still unread: with a
-    // caller-seeded unread set the loop must not chase tags it was told
-    // are already read.
-    let coverable_total = match options.initial_unread {
-        Some(_) => (0..deployment.n_tags())
-            .filter(|&t| coverage.is_coverable(t) && unread.is_unread(t))
-            .count(),
-        None => coverage.coverable_count(),
-    };
+    let coverable_total = coverage.coverable_count();
     let mut served_total = 0usize;
     let mut repaired_pairs = 0usize;
     let mut crashed_dropped = 0usize;
@@ -808,36 +779,6 @@ mod tests {
             c.coverable_count(),
             "fallback-only schedule still reads everything"
         );
-    }
-
-    #[test]
-    fn seeded_unread_solves_only_the_suffix() {
-        let d = small_scenario(2);
-        let c = Coverage::build(&d);
-        let g = interference_graph(&d);
-        // Pretend an earlier run already served every coverable tag but
-        // the last five.
-        let coverable: Vec<TagId> = (0..d.n_tags()).filter(|&t| c.is_coverable(t)).collect();
-        let mut unread = TagSet::all_unread(d.n_tags());
-        for &t in &coverable[..coverable.len() - 5] {
-            unread.mark_read(t);
-        }
-        let run = covering_schedule(&d, &c, &g, &McsOptions::new().initial_unread(&unread))
-            .expect("suffix solve must succeed");
-        let mut served: Vec<TagId> = run
-            .schedule
-            .slots
-            .iter()
-            .flat_map(|s| s.served.clone())
-            .collect();
-        served.sort_unstable();
-        assert_eq!(served, coverable[coverable.len() - 5..].to_vec());
-        // Seeding with all-unread is exactly the unseeded run.
-        let all = TagSet::all_unread(d.n_tags());
-        let seeded = covering_schedule(&d, &c, &g, &McsOptions::new().initial_unread(&all))
-            .expect("clean run");
-        let plain = covering_schedule(&d, &c, &g, &McsOptions::new()).expect("clean run");
-        assert_eq!(seeded.schedule, plain.schedule);
     }
 
     #[test]

@@ -26,9 +26,8 @@ pub struct OneShotInput<'a> {
     pub unread: &'a TagSet,
     /// Optional precomputed per-reader singleton weights `w({v})` under
     /// `unread`, provided by drivers that maintain them incrementally
-    /// across slots (the MCS loop). Private so the only ways in are the
-    /// builder and [`with_singleton_weights`](Self::with_singleton_weights),
-    /// which assert consistency.
+    /// across slots (the MCS loop). Private so the only way in is the
+    /// builder, which asserts consistency.
     singleton: Option<&'a [usize]>,
     /// Optional ascending list of exactly the readers with positive
     /// singleton weight under `unread`, maintained incrementally by
@@ -170,19 +169,6 @@ impl<'a> OneShotInput<'a> {
         Self::builder(deployment, coverage, graph)
             .unread(unread)
             .build()
-    }
-
-    /// Attaches precomputed singleton weights to an already-built input.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use OneShotInput::builder(...).singleton_weights(...) instead"
-    )]
-    pub fn with_singleton_weights(mut self, weights: &'a [usize]) -> Self {
-        debug_assert_eq!(weights.len(), self.deployment.n_readers());
-        #[cfg(debug_assertions)]
-        self.debug_check_singleton(weights);
-        self.singleton = Some(weights);
-        self
     }
 
     /// Samples a seeded random subset of readers and asserts their cached

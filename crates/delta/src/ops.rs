@@ -5,9 +5,7 @@
 //! depart, readers move, fail, recover or get retuned. Ops apply
 //! *sequentially* — each op's indices refer to the deployment as edited
 //! by the ops before it — and [`apply_ops`] folds a whole op list into a
-//! [`PatchedScenario`]: the edited deployment plus exactly the
-//! provenance the incremental machinery needs (which new tag was which
-//! old tag, which readers' geometry changed).
+//! [`PatchedScenario`] holding the edited deployment.
 
 use rfid_geometry::Point;
 use rfid_model::Deployment;
@@ -133,19 +131,12 @@ impl std::fmt::Display for DeltaError {
 
 impl std::error::Error for DeltaError {}
 
-/// The result of applying an op list: the edited deployment plus the
-/// provenance [`rfid_model::Coverage::patched`] and the repair engine
-/// consume.
+/// The result of applying an op list.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PatchedScenario {
-    /// The edited deployment.
+    /// The edited deployment: surviving tags keep their relative order
+    /// and added tags follow them in op order.
     pub deployment: Deployment,
-    /// For each tag of the edited deployment, its index in the base
-    /// deployment (`None` for tags added by the op list).
-    pub old_index: Vec<Option<u32>>,
-    /// Readers whose position or effective radii differ from the base,
-    /// ascending.
-    pub touched_readers: Vec<u32>,
 }
 
 /// Applies `ops` to `base` in order. Fails on the first invalid op; the
@@ -162,7 +153,6 @@ pub fn apply_ops(base: &Deployment, ops: &[ScenarioDelta]) -> Result<PatchedScen
         .map(|(&big, &small)| (big, small))
         .collect();
     let mut alive = vec![true; n];
-    let base_m = base.n_tags();
     let mut tag_pos = base.tag_positions().to_vec();
     // `RemoveTag` addresses the *live* sequence, whose indices shift as
     // earlier removals land. Rather than `Vec::remove` (an O(m)
@@ -170,7 +160,7 @@ pub fn apply_ops(base: &Deployment, ops: &[ScenarioDelta]) -> Result<PatchedScen
     // `dead` holds removed physical indices, ascending, and live →
     // physical mapping walks it. Compaction happens once at the end.
     let mut dead: Vec<u32> = Vec::new();
-    let mut live_len = base_m;
+    let mut live_len = base.n_tags();
 
     let check_reader = |reader: u32| -> Result<usize, DeltaError> {
         if (reader as usize) < n {
@@ -242,7 +232,6 @@ pub fn apply_ops(base: &Deployment, ops: &[ScenarioDelta]) -> Result<PatchedScen
     // Compact the tombstoned array in place: survivors keep their
     // relative order, appended tags trail, exactly as eager removal
     // would leave them.
-    let mut old_index = Vec::with_capacity(live_len);
     let mut next_dead = dead.iter().copied().peekable();
     let mut dst = 0usize;
     for p in 0..tag_pos.len() {
@@ -251,7 +240,6 @@ pub fn apply_ops(base: &Deployment, ops: &[ScenarioDelta]) -> Result<PatchedScen
             continue;
         }
         tag_pos[dst] = tag_pos[p];
-        old_index.push(if p < base_m { Some(p as u32) } else { None });
         dst += 1;
     }
     tag_pos.truncate(dst);
@@ -262,14 +250,6 @@ pub fn apply_ops(base: &Deployment, ops: &[ScenarioDelta]) -> Result<PatchedScen
     let interrogation_r: Vec<f64> = (0..n)
         .map(|i| if alive[i] { tuned[i].1 } else { 0.0 })
         .collect();
-    let touched_readers: Vec<u32> = (0..n)
-        .filter(|&i| {
-            reader_pos[i] != base.reader_positions()[i]
-                || interference_r[i] != base.interference_radii()[i]
-                || interrogation_r[i] != base.interrogation_radii()[i]
-        })
-        .map(|i| i as u32)
-        .collect();
     let deployment = Deployment::new(
         base.region(),
         reader_pos,
@@ -277,11 +257,7 @@ pub fn apply_ops(base: &Deployment, ops: &[ScenarioDelta]) -> Result<PatchedScen
         interrogation_r,
         tag_pos,
     );
-    Ok(PatchedScenario {
-        deployment,
-        old_index,
-        touched_readers,
-    })
+    Ok(PatchedScenario { deployment })
 }
 
 #[cfg(test)]
@@ -308,8 +284,6 @@ mod tests {
         let d = base();
         let p = apply_ops(&d, &[]).unwrap();
         assert_eq!(p.deployment, d);
-        assert_eq!(p.old_index, vec![Some(0), Some(1), Some(2)]);
-        assert!(p.touched_readers.is_empty());
     }
 
     #[test]
@@ -325,10 +299,27 @@ mod tests {
         )
         .unwrap();
         // Survivors: old tag 2, then the added tag.
-        assert_eq!(p.old_index, vec![Some(2), None]);
         assert_eq!(p.deployment.n_tags(), 2);
+        assert_eq!(p.deployment.tag(0), d.tag(2));
         assert_eq!(p.deployment.tag(1), Point::new(10.0, 10.0));
-        assert!(p.touched_readers.is_empty());
+        assert_eq!(p.deployment.reader_positions(), d.reader_positions());
+
+        // Survivors keep their relative order and added tags come last,
+        // in op order, even when a removal lands after an add.
+        let p = apply_ops(
+            &d,
+            &[
+                ScenarioDelta::AddTag { x: 1.0, y: 1.0 },
+                ScenarioDelta::AddTag { x: 2.0, y: 2.0 },
+                ScenarioDelta::RemoveTag { tag: 3 },
+                ScenarioDelta::RemoveTag { tag: 1 },
+            ],
+        )
+        .unwrap();
+        assert_eq!(
+            p.deployment.tag_positions(),
+            &[d.tag(0), d.tag(2), Point::new(2.0, 2.0)]
+        );
     }
 
     #[test]
@@ -356,7 +347,8 @@ mod tests {
         .unwrap();
         assert_eq!(p.deployment.interference_radii()[0], 7.0);
         assert_eq!(p.deployment.interrogation_radii()[0], 2.0);
-        assert_eq!(p.touched_readers, vec![0]);
+        assert_eq!(p.deployment.interference_radii()[1], 8.0);
+        assert_eq!(p.deployment.interrogation_radii()[1], 4.0);
 
         // A kill that stays dead zeroes both radii.
         let p = apply_ops(
@@ -369,7 +361,7 @@ mod tests {
         .unwrap();
         assert_eq!(p.deployment.interference_radii()[1], 0.0);
         assert_eq!(p.deployment.interrogation_radii()[1], 0.0);
-        assert_eq!(p.touched_readers, vec![1]);
+        assert_eq!(p.deployment.reader_positions(), d.reader_positions());
 
         // Kill + revive with no retune is the identity (untouched).
         let p = apply_ops(
@@ -386,7 +378,6 @@ mod tests {
             ],
         )
         .unwrap();
-        assert!(p.touched_readers.is_empty());
         assert_eq!(p.deployment, d);
     }
 

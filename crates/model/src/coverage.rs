@@ -16,9 +16,7 @@ use serde::{Deserialize, Serialize};
 /// classification needs the tag direction's cardinalities.
 ///
 /// Internally both directions are flat CSR arrays (offsets + data), not
-/// `Vec<Vec<_>>`: four allocations per table instead of `n + m`, which
-/// is what makes [`Coverage::patched`] cheap enough for the incremental
-/// delta path (carrying 20k rows over is a handful of `memcpy`s).
+/// `Vec<Vec<_>>`: four allocations per table instead of `n + m`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Coverage {
     /// `tag_data[tag_offsets[t]..tag_offsets[t+1]]` = readers of tag `t`.
@@ -137,145 +135,6 @@ impl Coverage {
     /// Number of coverable tags.
     pub fn coverable_count(&self) -> usize {
         self.tag_offsets.windows(2).filter(|w| w[1] > w[0]).count()
-    }
-
-    /// Per-tag cover degrees in ascending tag order — the streaming
-    /// form of [`readers_of`](Self::readers_of)`.len()`, one sequential
-    /// pass over the offsets instead of a random lookup per tag.
-    pub fn tag_degrees(&self) -> impl Iterator<Item = usize> + '_ {
-        self.tag_offsets.windows(2).map(|w| (w[1] - w[0]) as usize)
-    }
-
-    /// Incrementally rebuilds the table for an edited deployment,
-    /// reusing the rows of an existing table instead of re-running the
-    /// full grid pass.
-    ///
-    /// `old_index[t]` gives, for each tag of the *new* deployment `d`,
-    /// its index in the deployment `old` was built for (`None` for a
-    /// newly added tag). `touched_readers` lists every reader whose
-    /// position or interrogation radius differs from the old
-    /// deployment; untouched readers' rows are carried over verbatim.
-    /// Equivalent to `Coverage::build(d)` (same boundary semantics —
-    /// both reduce to [`Deployment::covers`]) in
-    /// `O(incidences + |touched| · m + |added| · n)` without the grid
-    /// construction.
-    ///
-    /// # Panics
-    /// If `old_index` does not match `d.n_tags()`, the reader counts
-    /// disagree, or an `old_index`/`touched_readers` entry is out of
-    /// range.
-    pub fn patched(
-        d: &Deployment,
-        old: &Coverage,
-        old_index: &[Option<u32>],
-        touched_readers: &[u32],
-    ) -> Self {
-        assert_eq!(old_index.len(), d.n_tags(), "old_index must match tags");
-        assert_eq!(
-            old.n_readers(),
-            d.n_readers(),
-            "patched deployments keep their reader count"
-        );
-        let n = d.n_readers();
-        let m = d.n_tags();
-        let mut touched = vec![false; n];
-        for &i in touched_readers {
-            touched[i as usize] = true;
-        }
-        // Offsets are emitted strictly left-to-right in both branches,
-        // so build by push and skip zero-filling 4(m+1) bytes up front.
-        // The data capacity leaves headroom for added tags' rows.
-        let mut tag_offsets = Vec::with_capacity(m + 1);
-        tag_offsets.push(0u32);
-        let mut tag_data = Vec::with_capacity(old.tag_data.len() + touched_readers.len() + 1024);
-        // Added tags resolve their row through a grid over *reader*
-        // positions (built lazily — pure survivor deltas never pay),
-        // turning the per-add cost from O(n) into O(local density).
-        let mut reader_grid: Option<(GridIndex, f64)> = None;
-        let mut grid_row = |tag_data: &mut Vec<u32>, t_new: usize| {
-            let (grid, r_max) = reader_grid.get_or_insert_with(|| {
-                let r_max = d
-                    .interrogation_radii()
-                    .iter()
-                    .copied()
-                    .fold(0.0f64, f64::max)
-                    .max(1e-6);
-                (GridIndex::build(d.reader_positions(), r_max), r_max)
-            });
-            let start = tag_data.len();
-            grid.for_each_within(d.tag_positions()[t_new], *r_max, |i, _| {
-                if d.covers(i, t_new) {
-                    tag_data.push(i as u32);
-                }
-            });
-            tag_data[start..].sort_unstable();
-        };
-        if touched_readers.is_empty() {
-            // Pure tag churn is the delta hot path: a run of surviving
-            // tags with consecutive sources is one memcpy of the old
-            // rows plus an offset shift — no per-tag work at all.
-            let mut t_new = 0usize;
-            while t_new < m {
-                match old_index[t_new] {
-                    Some(t0) => {
-                        let mut len = 1usize;
-                        while t_new + len < m && old_index[t_new + len] == Some(t0 + len as u32) {
-                            len += 1;
-                        }
-                        let a = old.tag_offsets[t0 as usize] as usize;
-                        let b = old.tag_offsets[t0 as usize + len] as usize;
-                        // Exact in u32: the true offset fits, so the
-                        // wrapping round-trip through a possibly
-                        // "negative" shift is lossless.
-                        let shift = (tag_data.len() as u32).wrapping_sub(a as u32);
-                        tag_data.extend_from_slice(&old.tag_data[a..b]);
-                        tag_offsets.extend(
-                            old.tag_offsets[t0 as usize + 1..=t0 as usize + len]
-                                .iter()
-                                .map(|&o| o.wrapping_add(shift)),
-                        );
-                        t_new += len;
-                    }
-                    None => {
-                        grid_row(&mut tag_data, t_new);
-                        tag_offsets.push(tag_data.len() as u32);
-                        t_new += 1;
-                    }
-                }
-            }
-        } else {
-            for (t_new, &src) in old_index.iter().enumerate() {
-                let start = tag_data.len();
-                match src {
-                    // Surviving tag: carry the old row minus touched
-                    // readers, then re-test those at their new geometry.
-                    Some(t_old) => {
-                        for &i in old.readers_of(t_old as usize) {
-                            if !touched[i as usize] {
-                                tag_data.push(i);
-                            }
-                        }
-                        for &i in touched_readers {
-                            if d.covers(i as usize, t_new) {
-                                tag_data.push(i);
-                            }
-                        }
-                        tag_data[start..].sort_unstable();
-                    }
-                    // Added tag: grid lookup at the new geometry
-                    // (touched readers included — the grid is over `d`).
-                    None => grid_row(&mut tag_data, t_new),
-                }
-                tag_offsets.push(tag_data.len() as u32);
-            }
-        }
-        let (reader_offsets, reader_data) = transpose_csr(m, n, &tag_offsets, &tag_data);
-        Coverage {
-            tag_offsets,
-            tag_data,
-            reader_offsets,
-            reader_data,
-        }
     }
 }
 
@@ -399,55 +258,6 @@ mod tests {
         let c = Coverage::build(&d);
         assert_eq!(c.readers_of(0), &[0]);
         assert!(c.readers_of(1).is_empty());
-    }
-
-    #[test]
-    fn patched_matches_full_rebuild() {
-        for seed in 0..4u64 {
-            let base = Scenario {
-                kind: ScenarioKind::UniformRandom,
-                n_readers: 25,
-                n_tags: 150,
-                region_side: 80.0,
-                radius_model: RadiusModel::PoissonPair {
-                    lambda_interference: 12.0,
-                    lambda_interrogation: 6.0,
-                },
-            }
-            .generate(seed);
-            let old = Coverage::build(&base);
-
-            // Edit: drop tag 3, append two tags, move reader 1, retune
-            // reader 4 (zeroed radii = dead reader).
-            let mut tags: Vec<Point> = base.tag_positions().to_vec();
-            tags.remove(3);
-            tags.push(Point::new(1.0, 2.0));
-            tags.push(Point::new(70.0, 70.0));
-            let mut reader_pos = base.reader_positions().to_vec();
-            reader_pos[1] = Point::new(40.0, 40.0);
-            let mut big = base.interference_radii().to_vec();
-            let mut small = base.interrogation_radii().to_vec();
-            big[4] = 0.0;
-            small[4] = 0.0;
-            let patched_d = Deployment::new(base.region(), reader_pos, big, small, tags);
-
-            let mut old_index: Vec<Option<u32>> = (0..base.n_tags() as u32)
-                .filter(|&t| t != 3)
-                .map(Some)
-                .collect();
-            old_index.push(None);
-            old_index.push(None);
-            let patched = Coverage::patched(&patched_d, &old, &old_index, &[1, 4]);
-            assert_eq!(patched, Coverage::build(&patched_d), "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn patched_with_no_edits_is_identity() {
-        let d = overlap_deployment();
-        let old = Coverage::build(&d);
-        let old_index: Vec<Option<u32>> = (0..d.n_tags() as u32).map(Some).collect();
-        assert_eq!(Coverage::patched(&d, &old, &old_index, &[]), old);
     }
 
     #[test]

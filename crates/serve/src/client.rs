@@ -1,10 +1,10 @@
 //! The unified client surface: one builder, one trait, three
 //! transports.
 //!
-//! PR 4–5 grew three parallel client types — the in-process
-//! [`crate::Client`], the wire-level [`TcpClient`] and the retrying
-//! [`FailoverClient`] — each with its own constructor and slightly
-//! different call shape. This module collapses them behind:
+//! Earlier releases grew three parallel client types — the in-process
+//! `Client` over a [`Service`], the wire-level [`TcpClient`] and the
+//! retrying [`FailoverClient`] — each with its own constructor and
+//! slightly different call shape. This module collapses them behind:
 //!
 //! * [`ServeClient`] — the request surface every transport speaks:
 //!   `schedule` / `schedule_with_id` / `schedule_delta` / `stats`. Code

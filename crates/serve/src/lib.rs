@@ -35,13 +35,14 @@
 //!    fans requests out across N daemon instances, with stats
 //!    aggregation and gossip partitioning, so cache capacity and solve
 //!    throughput scale horizontally.
-//! 7. **Incremental scheduling** (protocol v3 `Delta` frames, DESIGN.md
-//!    §13) — a client holding a base content key sends `{base, ops}`
+//! 7. **Scenario deltas** (protocol v3 `Delta` frames, DESIGN.md §13)
+//!    — a client holding a base content key sends `{base, ops}`
 //!    instead of a full scenario; the service resolves the base spec
-//!    (structured `404` base-miss otherwise), patches it through
-//!    [`rfid_delta`] and publishes the reply under the derived content
-//!    key, which caches, journals, gossips and routes exactly like a
-//!    full request.
+//!    (structured `404` base-miss otherwise), applies the ops through
+//!    [`rfid_delta`], solves the patched scenario cold like a full
+//!    request and publishes the reply under the derived content key,
+//!    which caches, journals, gossips and routes exactly like a full
+//!    request.
 //! 8. **Request by key** (protocol v4 `Key` frames, DESIGN.md §14) — a
 //!    client that already round-tripped a job addresses the cached
 //!    schedule by content key alone: a shallow frame scan

@@ -239,33 +239,9 @@ impl FailoverClient {
         deadline_ms: Option<u64>,
         request_id: Option<&str>,
     ) -> Result<ScheduleReply, ClientError> {
-        let request_id = request_id.map(String::from).unwrap_or_else(|| {
-            format!(
-                "{}-{}",
-                self.client_id,
-                self.seq.fetch_add(1, Ordering::Relaxed)
-            )
-        });
-        let mut last: Option<ClientError> = None;
-        for attempt in 0..self.policy.attempts {
-            if attempt > 0 {
-                let exp = self
-                    .policy
-                    .backoff
-                    .saturating_mul(1u32 << (attempt - 1).min(16));
-                std::thread::sleep(exp.min(self.policy.max_backoff));
-            }
-            let addr = &self.peers[attempt as usize % self.peers.len()];
-            let result = TcpClient::connect(addr)
-                .map_err(ClientError::from)
-                .and_then(|mut c| c.schedule_with_id(job, deadline_ms, Some(&request_id)));
-            match result {
-                Ok(reply) => return Ok(reply),
-                Err(e) if retryable(&e) => last = Some(e),
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last.unwrap_or(ClientError::Protocol("no attempt was made".into())))
+        self.with_failover(request_id, |c, id| {
+            c.schedule_with_id(job, deadline_ms, Some(id))
+        })
     }
 
     /// The delta twin of [`schedule_as`](Self::schedule_as): same retry
@@ -279,6 +255,20 @@ impl FailoverClient {
         ops: &[rfid_delta::ScenarioDelta],
         deadline_ms: Option<u64>,
         request_id: Option<&str>,
+    ) -> Result<ScheduleReply, ClientError> {
+        self.with_failover(request_id, |c, id| {
+            c.schedule_delta(base, ops, deadline_ms, Some(id))
+        })
+    }
+
+    /// The retry loop both entry points share: one request id (the
+    /// caller's, or a fresh one) for every attempt, exponential backoff
+    /// between attempts, a fresh connection to the next peer each time.
+    /// Only [`retryable`] errors move on; anything else is final.
+    fn with_failover(
+        &self,
+        request_id: Option<&str>,
+        mut call: impl FnMut(&mut TcpClient, &str) -> Result<ScheduleReply, ClientError>,
     ) -> Result<ScheduleReply, ClientError> {
         let request_id = request_id.map(String::from).unwrap_or_else(|| {
             format!(
@@ -299,7 +289,7 @@ impl FailoverClient {
             let addr = &self.peers[attempt as usize % self.peers.len()];
             let result = TcpClient::connect(addr)
                 .map_err(ClientError::from)
-                .and_then(|mut c| c.schedule_delta(base, ops, deadline_ms, Some(&request_id)));
+                .and_then(|mut c| call(&mut c, &request_id));
             match result {
                 Ok(reply) => return Ok(reply),
                 Err(e) if retryable(&e) => last = Some(e),

@@ -370,6 +370,27 @@ impl From<std::io::Error> for ClientError {
     }
 }
 
+/// Decodes the reply to a schedule-producing request: a `Schedule` frame
+/// is the reply, an `Error` frame the service's structured error (the
+/// inner `Err`), and any other frame a protocol violation (the outer).
+fn schedule_reply(response: Response) -> Result<Result<ScheduleReply, ServiceError>, ClientError> {
+    match response {
+        Response::Schedule {
+            key,
+            cached,
+            payload,
+        } => Ok(Ok(ScheduleReply {
+            key,
+            cached,
+            payload: payload.into(),
+        })),
+        Response::Error { code, message } => Ok(Err(ServiceError { code, message })),
+        other => Err(ClientError::Protocol(format!(
+            "expected Schedule frame, got {other:?}"
+        ))),
+    }
+}
+
 /// A blocking JSON-lines client over one TCP connection.
 pub struct TcpClient {
     reader: BufReader<TcpStream>,
@@ -445,23 +466,7 @@ impl TcpClient {
             request_id: request_id.map(String::from),
             v: Some(PROTOCOL_VERSION),
         };
-        match self.round_trip(&request)? {
-            Response::Schedule {
-                key,
-                cached,
-                payload,
-            } => Ok(ScheduleReply {
-                key,
-                cached,
-                payload: payload.into(),
-            }),
-            Response::Error { code, message } => {
-                Err(ClientError::Remote(ServiceError { code, message }))
-            }
-            other => Err(ClientError::Protocol(format!(
-                "expected Schedule frame, got {other:?}"
-            ))),
-        }
+        schedule_reply(self.round_trip(&request)?)?.map_err(ClientError::Remote)
     }
 
     /// Schedules a **delta** job: `ops` applied to the scenario the
@@ -483,23 +488,7 @@ impl TcpClient {
             request_id: request_id.map(String::from),
             v: Some(PROTOCOL_VERSION),
         };
-        match self.round_trip(&request)? {
-            Response::Schedule {
-                key,
-                cached,
-                payload,
-            } => Ok(ScheduleReply {
-                key,
-                cached,
-                payload: payload.into(),
-            }),
-            Response::Error { code, message } => {
-                Err(ClientError::Remote(ServiceError { code, message }))
-            }
-            other => Err(ClientError::Protocol(format!(
-                "expected Schedule frame, got {other:?}"
-            ))),
-        }
+        schedule_reply(self.round_trip(&request)?)?.map_err(ClientError::Remote)
     }
 
     /// Requests a schedule by **content key alone** (protocol v4): the
@@ -519,23 +508,7 @@ impl TcpClient {
             request_id: None,
             v: Some(PROTOCOL_VERSION),
         };
-        match self.round_trip(&request)? {
-            Response::Schedule {
-                key,
-                cached,
-                payload,
-            } => Ok(ScheduleReply {
-                key,
-                cached,
-                payload: payload.into(),
-            }),
-            Response::Error { code, message } => {
-                Err(ClientError::Remote(ServiceError { code, message }))
-            }
-            other => Err(ClientError::Protocol(format!(
-                "expected Schedule frame, got {other:?}"
-            ))),
-        }
+        schedule_reply(self.round_trip(&request)?)?.map_err(ClientError::Remote)
     }
 
     /// Pipelines a batch of schedule requests on this one connection:
@@ -565,23 +538,7 @@ impl TcpClient {
         }
         let mut replies = Vec::with_capacity(jobs.len());
         for _ in jobs {
-            replies.push(match self.read_response()? {
-                Response::Schedule {
-                    key,
-                    cached,
-                    payload,
-                } => Ok(ScheduleReply {
-                    key,
-                    cached,
-                    payload: payload.into(),
-                }),
-                Response::Error { code, message } => Err(ServiceError { code, message }),
-                other => {
-                    return Err(ClientError::Protocol(format!(
-                        "expected Schedule frame, got {other:?}"
-                    )))
-                }
-            });
+            replies.push(schedule_reply(self.read_response()?)?);
         }
         Ok(replies)
     }

@@ -117,7 +117,8 @@ impl<'a> SlotSimulator<'a> {
 
     /// [`run`](Self::run) with per-slot [`SlotMetrics`] collected and
     /// scheduler instrumentation routed to `sub` (pass `None` for metrics
-    /// only). The schedule is bit-identical to an unobserved [`run`].
+    /// only). The schedule is bit-identical to an unobserved
+    /// [`run`](Self::run).
     pub fn run_with_metrics(
         &self,
         scheduler: &mut dyn OneShotScheduler,
