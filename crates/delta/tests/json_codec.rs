@@ -4,12 +4,14 @@
 //! Content keys hash the canonical JSON text, journals persist those keys
 //! and clients memoise them, so the renderer's output must never drift.
 //! `canonical_json` renders in one pass with the writer's sorted-keys
-//! mode; the property test pins it, and the plain compact writer, to a
-//! reference copy of the earlier algorithm (sort every map in place, then
-//! render one char at a time), which this file keeps only as the oracle.
+//! mode; the property tests pin it, the plain compact writer and the
+//! pretty writer (CLI output, tables and bench reports) to a reference
+//! copy of the earlier algorithm (sort every map in place, then render
+//! one char at a time), which this file keeps only as the oracle.
 //! The parser cases pin `serde_json::from_str` on strings: escapes at run
 //! boundaries, multi-byte text beside escapes, `\u` escapes, raw control
-//! bytes and unterminated input.
+//! bytes and unterminated input; and on numbers out of range for the
+//! type they decode into.
 
 use proptest::prelude::*;
 use rfid_delta::{canonical_json, ScenarioDelta};
@@ -93,6 +95,54 @@ fn oracle_escape(s: &str, out: &mut String) {
         }
     }
     out.push('"');
+}
+
+/// The earlier pretty layout: two spaces per level, `": "` after a key,
+/// and a non-empty container's closing bracket on a line of its own.
+fn oracle_render_pretty(content: &Content, depth: usize, out: &mut String) {
+    fn newline_indent(out: &mut String, depth: usize) {
+        out.push('\n');
+        out.push_str(&"  ".repeat(depth));
+    }
+    match content {
+        Content::Seq(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                newline_indent(out, depth + 1);
+                oracle_render_pretty(item, depth + 1, out);
+            }
+            if !items.is_empty() {
+                newline_indent(out, depth);
+            }
+            out.push(']');
+        }
+        Content::Map(entries) => {
+            out.push('{');
+            for (i, (key, value)) in entries.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                newline_indent(out, depth + 1);
+                oracle_escape(key, out);
+                out.push_str(": ");
+                oracle_render_pretty(value, depth + 1, out);
+            }
+            if !entries.is_empty() {
+                newline_indent(out, depth);
+            }
+            out.push('}');
+        }
+        scalar => oracle_render(scalar, out),
+    }
+}
+
+fn oracle_pretty(content: &Content) -> String {
+    let mut out = String::new();
+    oracle_render_pretty(content, 0, &mut out);
+    out
 }
 
 fn oracle_compact(content: &Content) -> String {
@@ -255,11 +305,17 @@ proptest! {
         let value = Value(content.clone());
         prop_assert_eq!(canonical_json(&value), oracle_canonical(&content));
         prop_assert_eq!(serde_json::to_string(&value).unwrap(), oracle_compact(&content));
+        prop_assert_eq!(serde_json::to_string_pretty(&value).unwrap(), oracle_pretty(&content));
     }
 
     #[test]
     fn canonical_ops_match_sort_then_render(ops in arb_ops()) {
         prop_assert_eq!(canonical_json(&ops), oracle_canonical(&ops.to_content()));
+        prop_assert_eq!(serde_json::to_string(&ops).unwrap(), oracle_compact(&ops.to_content()));
+        prop_assert_eq!(
+            serde_json::to_string_pretty(&ops).unwrap(),
+            oracle_pretty(&ops.to_content())
+        );
     }
 }
 
@@ -394,4 +450,86 @@ fn long_strings_with_scattered_escapes_round_trip() {
     let encoded = serde_json::to_string(&text).unwrap();
     assert_eq!(encoded, oracle_compact(&Content::Str(text.clone())));
     assert_eq!(serde_json::from_str::<String>(&encoded).unwrap(), text);
+}
+
+// ---------------------------------------------------------------------
+// Numbers out of range for their type.
+
+fn decode_error<T: serde::Deserialize + std::fmt::Debug>(text: &str) -> String {
+    serde_json::from_str::<T>(text).unwrap_err().to_string()
+}
+
+#[test]
+fn negative_literals_below_i64_min_are_errors() {
+    // `-18446744073709551615` once wrapped to 1, and a u64 field read it.
+    assert_eq!(
+        decode_error::<u64>("-18446744073709551615"),
+        "serde_json: bad number `-18446744073709551615`"
+    );
+    assert_eq!(
+        decode_error::<Vec<u64>>("[-18446744073709551615]"),
+        "serde_json: bad number `-18446744073709551615`"
+    );
+    // One below i64::MIN once saturated to i64::MAX.
+    assert_eq!(
+        decode_error::<i64>("-9223372036854775809"),
+        "serde_json: bad number `-9223372036854775809`"
+    );
+    // i64::MIN itself is in range (a debug build once panicked negating it).
+    assert_eq!(
+        serde_json::from_str::<i64>("-9223372036854775808"),
+        Ok(i64::MIN)
+    );
+    assert_eq!(
+        serde_json::from_str::<Value>("-9223372036854775808"),
+        Ok(Value(Content::I64(i64::MIN)))
+    );
+    assert_eq!(serde_json::from_str::<i64>("-0"), Ok(0));
+    // The positive side already failed this way.
+    assert_eq!(
+        decode_error::<u64>("18446744073709551616"),
+        "serde_json: bad number `18446744073709551616`"
+    );
+}
+
+#[test]
+fn integral_floats_convert_only_in_range() {
+    // `300.0` once saturated to u8 255 while `300` was an error; both now
+    // report the integer error.
+    assert_eq!(
+        decode_error::<u8>("300"),
+        "serde_json: 300 out of range for u8"
+    );
+    assert_eq!(
+        decode_error::<u8>("300.0"),
+        "serde_json: 300 out of range for u8"
+    );
+    assert_eq!(
+        decode_error::<u8>("-1.0"),
+        "serde_json: -1 out of range for u8"
+    );
+    assert_eq!(serde_json::from_str::<u8>("255.0"), Ok(255));
+    assert_eq!(serde_json::from_str::<u64>("2.5e2"), Ok(250));
+    assert_eq!(
+        serde_json::from_str::<i64>("-9223372036854775808.0"),
+        Ok(i64::MIN)
+    );
+    // `1e300` once decoded as u64::MAX.
+    assert!(decode_error::<u64>("1e300").ends_with("out of range for u64"));
+    assert!(decode_error::<u64>("18446744073709551616.0").ends_with("out of range for u64"));
+    assert!(decode_error::<i64>("9223372036854775808.0").ends_with("out of range for i64"));
+    // Through a derived type, with the field path in front.
+    assert_eq!(
+        decode_error::<Vec<ScenarioDelta>>(r#"[{"RemoveTag":{"tag":1e10}}]"#),
+        "serde_json: ScenarioDelta::RemoveTag.tag: 10000000000 out of range for u32"
+    );
+    assert_eq!(
+        serde_json::from_str::<Vec<ScenarioDelta>>(r#"[{"RemoveTag":{"tag":7.0}}]"#),
+        Ok(vec![ScenarioDelta::RemoveTag { tag: 7 }])
+    );
+    // Non-integral floats still fail as before.
+    assert_eq!(
+        decode_error::<u8>("0.5"),
+        "serde_json: expected u8, got F64(0.5)"
+    );
 }

@@ -195,6 +195,14 @@ fn validate_scenario(s: &Scenario) -> Result<(), CodecError> {
                 "cluster sigma must be finite and positive, got {sigma}"
             )))
         }
+        // Generation allocates one centre per cluster up front. A failed
+        // allocation that large aborts the process, which no worker's
+        // `catch_unwind` can stop.
+        rfid_model::ScenarioKind::ClusteredTags { clusters, .. } if clusters > MAX_TAGS => {
+            Err(CodecError::InvalidWorkload(format!(
+                "clusters {clusters} exceeds the service cap {MAX_TAGS}"
+            )))
+        }
         _ => Ok(()),
     }
 }
@@ -659,6 +667,24 @@ mod tests {
             CanonicalJob::new(&spec, &registry()).unwrap_err(),
             CodecError::InvalidWorkload(_)
         ));
+        let mut spec = generated_spec("alg2");
+        if let Workload::Generated { scenario, .. } = &mut spec.workload {
+            scenario.kind = rfid_model::ScenarioKind::ClusteredTags {
+                clusters: 1 << 40,
+                sigma: 2.0,
+            };
+        }
+        assert!(matches!(
+            CanonicalJob::new(&spec, &registry()).unwrap_err(),
+            CodecError::InvalidWorkload(_)
+        ));
+        if let Workload::Generated { scenario, .. } = &mut spec.workload {
+            scenario.kind = rfid_model::ScenarioKind::ClusteredTags {
+                clusters: MAX_TAGS,
+                sigma: 2.0,
+            };
+        }
+        assert!(CanonicalJob::new(&spec, &registry()).is_ok());
     }
 
     #[test]

@@ -726,13 +726,17 @@ impl Service {
             );
         };
         // Ops index tags and readers in the *canonical* base deployment
-        // (the form the base's own reply was computed from), so
-        // materialise that and patch it.
-        let base_deployment: Deployment = match &spec.workload {
-            Workload::Generated { scenario, seed } => scenario.generate(*seed),
-            Workload::Explicit { deployment } => deployment.clone(),
+        // (the form the base's own reply was computed from): patch the
+        // stored one in place of a copy, or generate a `Generated` base.
+        let generated: Deployment;
+        let base_deployment = match &spec.workload {
+            Workload::Generated { scenario, seed } => {
+                generated = scenario.generate(*seed);
+                &generated
+            }
+            Workload::Explicit { deployment } => deployment,
         };
-        let patched = match apply_ops(&base_deployment, ops) {
+        let patched = match apply_ops(base_deployment, ops) {
             Ok(patched) => patched,
             Err(e) => {
                 inner.errors.fetch_add(1, Ordering::Relaxed);
@@ -745,9 +749,14 @@ impl Service {
                 );
             }
         };
-        let mut patched_spec = (*spec).clone();
-        patched_spec.workload = Workload::Explicit {
-            deployment: patched.deployment,
+        let patched_spec = JobSpec {
+            workload: Workload::Explicit {
+                deployment: patched.deployment,
+            },
+            algorithm: spec.algorithm.clone(),
+            algo_seed: spec.algo_seed,
+            resilient: spec.resilient,
+            max_slots: spec.max_slots,
         };
         // Canonicalise once: the canonical patched spec is both the base
         // that *chained* deltas index into (stored under the derived key)
@@ -1123,6 +1132,24 @@ mod tests {
         let err = service.schedule(&job, None).unwrap_err();
         assert_eq!(err.code, CODE_UNKNOWN_ALGORITHM);
         assert!(err.message.contains("alg2-central"), "{}", err.message);
+        service.shutdown(true);
+    }
+
+    #[test]
+    fn huge_cluster_count_is_a_structured_400() {
+        // Generating this scenario would ask for 2^40 cluster centres and
+        // abort the process; admission must refuse it first.
+        let service = Service::start(quick_config()).unwrap();
+        let mut job = small_job(1);
+        if let Workload::Generated { scenario, .. } = &mut job.workload {
+            scenario.kind = ScenarioKind::ClusteredTags {
+                clusters: 1 << 40,
+                sigma: 2.0,
+            };
+        }
+        let err = service.schedule(&job, None).unwrap_err();
+        assert_eq!(err.code, CODE_BAD_REQUEST);
+        assert!(err.message.contains("clusters"), "{}", err.message);
         service.shutdown(true);
     }
 
