@@ -23,8 +23,8 @@ use rfid_model::interference::interference_graph;
 use rfid_model::{Coverage, Deployment, RadiusModel, Scenario, ScenarioKind, TagSet};
 use rfid_obs::Recorder;
 use rfid_serve::{
-    CanonicalJob, ClientBuilder, ClientError, JobSpec, Router, RouterConfig, ScheduleReply,
-    ServeClient, ServeConfig, Server, TcpClient, Workload,
+    CanonicalJob, ClientError, FailoverPolicy, JobSpec, Router, RouterConfig, ScheduleReply,
+    ServeConfig, Server, TcpClient, Workload,
 };
 use rfid_sim::{aggregate_series, run_sweep, SweepAxis, SweepConfig};
 use std::collections::BTreeMap;
@@ -1093,22 +1093,20 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 client.shutdown_server()?;
                 return Ok("server acknowledged shutdown\n".to_string());
             }
-            // One builder covers both shapes: a single --addr is plain
-            // TCP, --failover extras make it a retrying failover client.
-            let mut targets = Vec::with_capacity(1 + failover.len());
-            targets.push(addr.clone());
-            targets.extend(failover.iter().cloned());
-            let mut client = ClientBuilder::new()
-                .addrs(targets)
-                .build()
-                .map_err(|e| CliError::Remote(format!("connect {addr}: {e}")))?;
-            // A key request is deliberately NOT routed through the
-            // builder's memo: the caller asked for the key path, so a
-            // key-miss surfaces as a structured remote error (exit 5)
-            // instead of silently re-solving.
+            // A single --addr is plain TCP; --failover extras make it a
+            // client that retries on the next peer.
+            let mut client = if failover.is_empty() {
+                TcpClient::connect(&addr)
+                    .map_err(|e| CliError::Remote(format!("connect {addr}: {e}")))?
+            } else {
+                let mut peers = vec![addr.clone()];
+                peers.extend(failover.iter().cloned());
+                TcpClient::failover(peers, FailoverPolicy::default())
+            };
+            // A key request never falls back to the full frame: the
+            // caller asked for the key path, so a key-miss surfaces as
+            // a structured remote error (exit 5) instead of re-solving.
             if let Some(key) = &key {
-                let mut client = TcpClient::connect(&addr)
-                    .map_err(|e| CliError::Remote(format!("connect {addr}: {e}")))?;
                 let reply = client.schedule_by_key(key, &[])?;
                 if let Some(out) = &payload_out {
                     std::fs::write(out, reply.payload.as_bytes())

@@ -1,93 +1,298 @@
-//! The unified client surface: one builder, one trait, three
-//! transports.
+//! The one serve client: [`TcpClient`], blocking JSON-lines over TCP.
 //!
-//! Earlier releases grew three parallel client types — the in-process
-//! `Client` over a [`Service`], the wire-level [`TcpClient`] and the
-//! retrying [`FailoverClient`] — each with its own constructor and
-//! slightly different call shape. This module collapses them behind:
+//! [`TcpClient::connect`] talks to one daemon (or router) over one
+//! eagerly opened connection and makes one attempt per call.
+//! [`TcpClient::failover`] walks a peer list instead: it connects
+//! lazily, and a transport failure (refused connect, write error,
+//! severed or missing response) or a `503` from a draining server
+//! retries the call on the next peer, with capped exponential backoff
+//! and a bounded number of attempts. Every attempt of one call carries
+//! the same request id, so servers count retries as dedups rather than
+//! fresh demand. Any other structured error is final: content
+//! addressing makes a request a pure function, so the next peer would
+//! answer the same. Either way the connection is kept between calls.
 //!
-//! * [`ServeClient`] — the request surface every transport speaks:
-//!   `schedule` / `schedule_with_id` / `schedule_delta` / `stats`. Code
-//!   written against `&mut dyn ServeClient` runs unchanged over any
-//!   transport.
-//! * [`ClientBuilder`] — the one constructor. What it builds follows
-//!   from what you give it: an in-process [`Service`] handle, a single
-//!   address (plain TCP), or several addresses and/or a
-//!   [`FailoverPolicy`] (failover with retries). A default deadline set
-//!   on the builder applies to every call that does not carry its own.
-//!
-//! The old types remain as the underlying transports, constructed only
-//! through the builder (the one-release deprecated shims —
-//! `Client::new`, `FailoverClient::new` — are gone). [`TcpClient`]
-//! itself stays public — it *is* the wire transport the builder hands
-//! back for single-address targets, and lower layers (the replicator,
-//! the router's forwarders) use it directly.
-
-//! Since protocol v4 the built client also keeps a **key memo**: once a
-//! job (or delta) has round-tripped in full, repeat submissions address
-//! the cached schedule by content key alone — a tiny `Key` frame the
-//! server answers without touching the scenario codec. A server that no
-//! longer holds the key answers a structured `key-miss` 404 and the
-//! client transparently falls back to the full frame, so callers never
-//! see the fast path, only the latency.
+//! The CLI, the replicator's gossip delivery and the router's
+//! forwarders all use this client; the latter two through failover
+//! clients over one peer, so a dropped connection is reopened on retry.
 
 use crate::codec::JobSpec;
-use crate::protocol::ServiceStats;
-use crate::replicate::{FailoverClient, FailoverPolicy};
-use crate::server::{ClientError, TcpClient};
-use crate::service::{ScheduleReply, Service};
-use rfid_delta::{fnv1a64, ScenarioDelta};
-use std::collections::{HashMap, HashSet};
+use crate::protocol::{
+    encode_frame, read_frame, FrameRead, GossipEntry, Request, Response, ServiceStats,
+    CODE_SHUTTING_DOWN, PROTOCOL_VERSION,
+};
+use crate::service::{ScheduleReply, ServiceError};
+use rfid_delta::ScenarioDelta;
+use std::io::{BufReader, Write};
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Memoised identities per built client before the memo resets (the
-/// same wholesale-clear policy as the server's dedup window: bounded
-/// memory, no per-entry bookkeeping on the hot path).
-const MEMO_CAP: usize = 1024;
-
-/// The client-side record of what the server has already been sent in
-/// full, keyed by cheap frame-identity hashes. A stale entry is
-/// harmless: the key path misses and the full frame repopulates it.
-#[derive(Default)]
-struct KeyMemo {
-    /// Job identity → the content key the server answered with.
-    jobs: HashMap<u64, String>,
-    /// Delta identities (base key + ops) already solved server-side.
-    deltas: HashSet<u64>,
+/// Why a [`TcpClient`] call failed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ClientError {
+    /// Socket-level failure.
+    Io(String),
+    /// The server answered with a structured error frame.
+    Remote(ServiceError),
+    /// The server answered with an unexpected or unparseable frame.
+    Protocol(String),
+    /// The connection ended before a complete response arrived —
+    /// clean EOF with the request outstanding, or severed mid-frame.
+    /// Structured (and retryable via failover) rather than a raw io
+    /// error: the peer died, the request may be replayed elsewhere.
+    Disconnected(String),
 }
 
-impl KeyMemo {
-    fn job_identity(job: &JobSpec) -> u64 {
-        let encoded = serde_json::to_string(job).expect("job serialisation cannot fail");
-        fnv1a64(encoded.as_bytes())
-    }
-
-    fn delta_identity(base: &str, ops: &[ScenarioDelta]) -> u64 {
-        let encoded = serde_json::to_string(ops).expect("ops serialisation cannot fail");
-        fnv1a64(format!("{base}:{encoded}").as_bytes())
-    }
-
-    fn remember_job(&mut self, identity: u64, key: &str) {
-        if self.jobs.len() >= MEMO_CAP {
-            self.jobs.clear();
+impl std::fmt::Display for ClientError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ClientError::Io(m) => write!(f, "io error: {m}"),
+            ClientError::Remote(e) => write!(f, "server error: {e}"),
+            ClientError::Protocol(m) => write!(f, "protocol error: {m}"),
+            ClientError::Disconnected(m) => write!(f, "server disconnected: {m}"),
         }
-        self.jobs.insert(identity, key.to_string());
-    }
-
-    fn remember_delta(&mut self, identity: u64) {
-        if self.deltas.len() >= MEMO_CAP {
-            self.deltas.clear();
-        }
-        self.deltas.insert(identity);
     }
 }
 
-/// The request surface shared by every transport: schedule a job, fetch
-/// fleet counters. `deadline_ms = None` means "no deadline, unless the
-/// builder configured a default".
-pub trait ServeClient {
+impl std::error::Error for ClientError {}
+
+impl From<std::io::Error> for ClientError {
+    fn from(e: std::io::Error) -> Self {
+        ClientError::Io(e.to_string())
+    }
+}
+
+/// Retry policy of a [`TcpClient::failover`] client (attempts span the
+/// whole call, not one peer).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FailoverPolicy {
+    /// Total attempts across all peers before giving up.
+    pub attempts: u32,
+    /// Base backoff between attempts (doubles per retry, capped at
+    /// `max_backoff`).
+    pub backoff: Duration,
+    /// Upper bound for the exponential backoff.
+    pub max_backoff: Duration,
+}
+
+impl Default for FailoverPolicy {
+    fn default() -> Self {
+        FailoverPolicy {
+            attempts: 4,
+            backoff: Duration::from_millis(50),
+            max_backoff: Duration::from_secs(1),
+        }
+    }
+}
+
+/// Process-wide source of distinct client ids (no wall clock needed).
+static CLIENT_COUNTER: AtomicU64 = AtomicU64::new(0);
+
+type Conn = BufReader<TcpStream>;
+
+/// A blocking JSON-lines client over one connection at a time, to one
+/// peer or failing over across several.
+pub struct TcpClient {
+    peers: Vec<String>,
+    policy: FailoverPolicy,
+    /// Index in `peers` of `conn`'s peer, or of the next one to dial.
+    peer: usize,
+    conn: Option<Conn>,
+    /// For calls without a request id of their own: this client's id
+    /// and the number of calls it has named. `None` on a one-peer
+    /// client, which sends only the ids its caller passes.
+    ids: Option<(String, u64)>,
+}
+
+fn open(addr: &str) -> std::io::Result<Conn> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    Ok(BufReader::new(stream))
+}
+
+fn read_response(conn: &mut Conn) -> Result<Response, ClientError> {
+    match read_frame::<Response, _>(conn)? {
+        FrameRead::Frame(response) => Ok(response),
+        FrameRead::Malformed(m) => Err(ClientError::Protocol(m)),
+        FrameRead::Eof => Err(ClientError::Disconnected(
+            "connection closed before response".into(),
+        )),
+        FrameRead::SeveredMidFrame { partial_bytes } => Err(ClientError::Disconnected(format!(
+            "connection severed mid-frame ({partial_bytes} bytes of a partial response)"
+        ))),
+    }
+}
+
+fn unexpected(expected: &str, got: Response) -> ClientError {
+    ClientError::Protocol(format!("expected {expected} frame, got {got:?}"))
+}
+
+/// Decodes the reply to a schedule-producing request: a `Schedule` frame
+/// is the reply, an `Error` frame the service's structured error (the
+/// inner `Err`), and any other frame a protocol violation (the outer).
+fn schedule_result(response: Response) -> Result<Result<ScheduleReply, ServiceError>, ClientError> {
+    match response {
+        Response::Schedule {
+            key,
+            cached,
+            payload,
+        } => Ok(Ok(ScheduleReply {
+            key,
+            cached,
+            payload: payload.into(),
+            wire: None,
+        })),
+        Response::Error { code, message } => Ok(Err(ServiceError { code, message })),
+        other => Err(unexpected("Schedule", other)),
+    }
+}
+
+impl TcpClient {
+    /// Connects to one running daemon (or router): one attempt per call.
+    pub fn connect(addr: &str) -> std::io::Result<TcpClient> {
+        Ok(TcpClient {
+            peers: vec![addr.to_string()],
+            policy: FailoverPolicy {
+                attempts: 1,
+                ..FailoverPolicy::default()
+            },
+            peer: 0,
+            conn: Some(open(addr)?),
+            ids: None,
+        })
+    }
+
+    /// A client that retries each call across `peers`, in order, under
+    /// `policy`. Connects lazily, on the first call:
+    ///
+    /// ```no_run
+    /// use rfid_serve::{FailoverPolicy, TcpClient};
+    /// # let job: rfid_serve::JobSpec = unimplemented!();
+    /// let peers = vec!["10.0.0.1:7400".to_string(), "10.0.0.2:7400".to_string()];
+    /// let mut client = TcpClient::failover(peers, FailoverPolicy::default());
+    /// let reply = client.schedule(&job, Some(2_000)).unwrap();
+    /// ```
+    ///
+    /// # Panics
+    /// When `peers` is empty.
+    pub fn failover(peers: Vec<String>, policy: FailoverPolicy) -> TcpClient {
+        assert!(!peers.is_empty(), "failover needs at least one peer");
+        let id = format!(
+            "c{}-{}",
+            std::process::id(),
+            CLIENT_COUNTER.fetch_add(1, Ordering::Relaxed)
+        );
+        TcpClient {
+            peers,
+            policy,
+            peer: 0,
+            conn: None,
+            ids: Some((id, 0)),
+        }
+    }
+
+    /// The caller's request id, else on a failover client a fresh one.
+    fn request_id(&mut self, request_id: Option<&str>) -> Option<String> {
+        match (request_id, &mut self.ids) {
+            (Some(id), _) => Some(id.to_string()),
+            (None, Some((client, calls))) => {
+                *calls += 1;
+                Some(format!("{client}-{}", *calls - 1))
+            }
+            (None, None) => None,
+        }
+    }
+
+    /// One call under the client's policy: write `frames`, then `read`
+    /// the reply. A transport failure or a `503` drops the connection
+    /// and retries on the next peer after the backoff; a protocol error
+    /// drops it and is final; any other error frame is final and keeps
+    /// it.
+    fn call<T>(
+        &mut self,
+        frames: &str,
+        mut read: impl FnMut(&mut Conn) -> Result<T, ClientError>,
+    ) -> Result<T, ClientError> {
+        let mut last = None;
+        for attempt in 0..self.policy.attempts {
+            if attempt > 0 {
+                let backoff = self
+                    .policy
+                    .backoff
+                    .saturating_mul(1u32 << (attempt - 1).min(16));
+                std::thread::sleep(backoff.min(self.policy.max_backoff));
+            }
+            let conn = match &mut self.conn {
+                Some(conn) => conn,
+                None => match open(&self.peers[self.peer]) {
+                    Ok(conn) => self.conn.insert(conn),
+                    Err(e) => {
+                        self.peer = (self.peer + 1) % self.peers.len();
+                        last = Some(e.into());
+                        continue;
+                    }
+                },
+            };
+            let result = conn
+                .get_mut()
+                .write_all(frames.as_bytes())
+                .map_err(ClientError::from)
+                .and_then(|()| read(conn));
+            match result {
+                Err(ClientError::Remote(e)) if e.code != CODE_SHUTTING_DOWN => {
+                    return Err(ClientError::Remote(e))
+                }
+                Err(e @ ClientError::Protocol(_)) => {
+                    self.conn = None;
+                    return Err(e);
+                }
+                Err(e) => {
+                    self.conn = None;
+                    self.peer = (self.peer + 1) % self.peers.len();
+                    last = Some(e);
+                }
+                ok => return ok,
+            }
+        }
+        Err(last.unwrap_or_else(|| ClientError::Protocol("no attempt was made".into())))
+    }
+
+    /// Forwards one raw, newline-terminated request line and returns the
+    /// response frame as sent, error frames included (the router's
+    /// hop). Only transport failures retry.
+    pub fn forward(&mut self, frame: &str) -> Result<Response, ClientError> {
+        self.call(frame, read_response)
+    }
+
+    /// One typed round trip; an error frame becomes
+    /// [`ClientError::Remote`].
+    fn round_trip(&mut self, request: &Request) -> Result<Response, ClientError> {
+        self.call(&encode_frame(request), |conn| match read_response(conn)? {
+            Response::Error { code, message } => {
+                Err(ClientError::Remote(ServiceError { code, message }))
+            }
+            response => Ok(response),
+        })
+    }
+
+    fn schedule_request(&mut self, request: &Request) -> Result<ScheduleReply, ClientError> {
+        schedule_result(self.round_trip(request)?)?.map_err(ClientError::Remote)
+    }
+
+    /// Declares this client's protocol version; returns the server's.
+    /// A server that cannot serve us answers a structured 426 error.
+    pub fn hello(&mut self) -> Result<u32, ClientError> {
+        match self.round_trip(&Request::Hello {
+            v: PROTOCOL_VERSION,
+        })? {
+            Response::HelloAck { v } => Ok(v),
+            other => Err(unexpected("HelloAck", other)),
+        }
+    }
+
     /// Schedules one job, optionally bounded by a server-side deadline.
-    fn schedule(
+    pub fn schedule(
         &mut self,
         job: &JobSpec,
         deadline_ms: Option<u64>,
@@ -97,281 +302,120 @@ pub trait ServeClient {
 
     /// [`schedule`](Self::schedule) carrying a client request id, so a
     /// retry of this idempotent request can be deduplicated server-side.
-    fn schedule_with_id(
+    pub fn schedule_with_id(
         &mut self,
         job: &JobSpec,
         deadline_ms: Option<u64>,
         request_id: Option<&str>,
-    ) -> Result<ScheduleReply, ClientError>;
+    ) -> Result<ScheduleReply, ClientError> {
+        let request = Request::Schedule {
+            job: job.clone(),
+            deadline_ms,
+            request_id: self.request_id(request_id),
+            v: Some(PROTOCOL_VERSION),
+        };
+        self.schedule_request(&request)
+    }
 
     /// Schedules a **delta** job: `ops` applied to the scenario the
-    /// server already holds under the `base` content key (protocol v3).
-    /// A server that never saw the base answers a structured `404`
-    /// whose message starts with `base-miss` — re-send the full
-    /// scenario via [`schedule`](Self::schedule) in that case.
-    fn schedule_delta(
-        &mut self,
-        base: &str,
-        ops: &[ScenarioDelta],
-        deadline_ms: Option<u64>,
-        request_id: Option<&str>,
-    ) -> Result<ScheduleReply, ClientError>;
-
-    /// Service counters (fleet-wide when the target is a router).
-    fn stats(&mut self) -> Result<ServiceStats, ClientError>;
-}
-
-impl ServeClient for TcpClient {
-    fn schedule_with_id(
-        &mut self,
-        job: &JobSpec,
-        deadline_ms: Option<u64>,
-        request_id: Option<&str>,
-    ) -> Result<ScheduleReply, ClientError> {
-        TcpClient::schedule_with_id(self, job, deadline_ms, request_id)
-    }
-
-    fn schedule_delta(
+    /// server already knows under the `base` content key. A server that
+    /// never saw the base answers a structured `404` whose message
+    /// starts with `base-miss` — the caller's cue to re-send the full
+    /// scenario. A base-miss is final, not failed over: a peer that
+    /// never saw the base answers it deterministically.
+    pub fn schedule_delta(
         &mut self,
         base: &str,
         ops: &[ScenarioDelta],
         deadline_ms: Option<u64>,
         request_id: Option<&str>,
     ) -> Result<ScheduleReply, ClientError> {
-        TcpClient::schedule_delta(self, base, ops, deadline_ms, request_id)
+        let request = Request::Delta {
+            base: base.to_string(),
+            ops: ops.to_vec(),
+            deadline_ms,
+            request_id: self.request_id(request_id),
+            v: Some(PROTOCOL_VERSION),
+        };
+        self.schedule_request(&request)
     }
 
-    fn stats(&mut self) -> Result<ServiceStats, ClientError> {
-        TcpClient::stats(self).map(|(stats, _metrics)| stats)
-    }
-}
-
-enum Transport {
-    InProcess(Service),
-    Tcp(TcpClient),
-    Failover(FailoverClient),
-}
-
-/// A client produced by [`ClientBuilder::build`]: one of the three
-/// transports plus the builder's default deadline, behind the
-/// [`ServeClient`] surface.
-pub struct BuiltClient {
-    transport: Transport,
-    default_deadline_ms: Option<u64>,
-    memo: KeyMemo,
-}
-
-impl BuiltClient {
-    /// `true` when requests stay in-process (no socket involved).
-    pub fn is_in_process(&self) -> bool {
-        matches!(self.transport, Transport::InProcess(_))
-    }
-
-    /// One attempt down the request-by-key fast path. `Ok(Some)` is a
-    /// hit; `Ok(None)` means "send the full frame" — a structured
-    /// key-miss, or a transport without the path (failover retries may
-    /// land on peers that never saw the key, so it always goes full).
-    /// Anything else is a real error.
-    fn try_key_path(
+    /// Requests a schedule by **content key alone** (protocol v4): the
+    /// server answers from cache without touching the scenario codec.
+    /// Non-empty `ops` address the delta derived from `key` (cached on
+    /// the base key's node). A key the server does not hold answers a
+    /// structured `404` whose message starts with `key-miss` — the cue
+    /// to fall back to the full `Schedule`/`Delta` frame.
+    pub fn schedule_by_key(
         &mut self,
         key: &str,
         ops: &[ScenarioDelta],
-    ) -> Result<Option<ScheduleReply>, ClientError> {
-        let result = match &mut self.transport {
-            Transport::InProcess(service) => service
-                .request_by_key(key, ops)
-                .map(|hit| hit.into_reply())
-                .map_err(ClientError::Remote),
-            Transport::Tcp(client) => client.schedule_by_key(key, ops),
-            Transport::Failover(_) => return Ok(None),
-        };
-        match result {
-            Ok(reply) => Ok(Some(reply)),
-            Err(ClientError::Remote(e)) if e.message.starts_with("key-miss") => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-}
-
-impl ServeClient for BuiltClient {
-    fn schedule_with_id(
-        &mut self,
-        job: &JobSpec,
-        deadline_ms: Option<u64>,
-        request_id: Option<&str>,
     ) -> Result<ScheduleReply, ClientError> {
-        // Known job → address it by key alone; a miss (server dropped
-        // the entry) falls through to the full frame below.
-        let identity = KeyMemo::job_identity(job);
-        if let Some(key) = self.memo.jobs.get(&identity).cloned() {
-            if let Some(reply) = self.try_key_path(&key, &[])? {
-                return Ok(reply);
-            }
-            self.memo.jobs.remove(&identity);
-        }
-        let deadline_ms = deadline_ms.or(self.default_deadline_ms);
-        let reply = match &mut self.transport {
-            Transport::InProcess(service) => service
-                .schedule_with_id(job, deadline_ms.map(Duration::from_millis), request_id)
-                .map_err(ClientError::Remote),
-            Transport::Tcp(client) => client.schedule_with_id(job, deadline_ms, request_id),
-            Transport::Failover(client) => client.schedule_as(job, deadline_ms, request_id),
-        }?;
-        self.memo.remember_job(identity, &reply.key);
-        Ok(reply)
-    }
-
-    fn schedule_delta(
-        &mut self,
-        base: &str,
-        ops: &[ScenarioDelta],
-        deadline_ms: Option<u64>,
-        request_id: Option<&str>,
-    ) -> Result<ScheduleReply, ClientError> {
-        // A delta the server solved before answers from cache via a
-        // key+ops frame — no base resolution, no patching.
-        let identity = KeyMemo::delta_identity(base, ops);
-        if self.memo.deltas.contains(&identity) {
-            if let Some(reply) = self.try_key_path(base, ops)? {
-                return Ok(reply);
-            }
-            self.memo.deltas.remove(&identity);
-        }
-        let deadline_ms = deadline_ms.or(self.default_deadline_ms);
-        let reply = match &mut self.transport {
-            Transport::InProcess(service) => service
-                .schedule_delta(
-                    base,
-                    ops,
-                    deadline_ms.map(Duration::from_millis),
-                    request_id,
-                )
-                .map_err(ClientError::Remote),
-            Transport::Tcp(client) => client.schedule_delta(base, ops, deadline_ms, request_id),
-            Transport::Failover(client) => {
-                client.schedule_delta_as(base, ops, deadline_ms, request_id)
-            }
-        }?;
-        self.memo.remember_delta(identity);
-        Ok(reply)
-    }
-
-    fn stats(&mut self) -> Result<ServiceStats, ClientError> {
-        match &mut self.transport {
-            Transport::InProcess(service) => Ok(service.stats()),
-            Transport::Tcp(client) => client.stats().map(|(stats, _metrics)| stats),
-            Transport::Failover(client) => {
-                // Stats are not idempotent-critical; ask the first peer
-                // that answers.
-                let mut last = ClientError::Protocol("no peers configured".into());
-                for addr in client.peers() {
-                    match TcpClient::connect(addr) {
-                        Ok(mut c) => match c.stats() {
-                            Ok((stats, _metrics)) => return Ok(stats),
-                            Err(e) => last = e,
-                        },
-                        Err(e) => last = e.into(),
-                    }
-                }
-                Err(last)
-            }
-        }
-    }
-}
-
-/// The one way to construct a serve client. Configure a target — an
-/// in-process [`Service`], one address, or a peer list — plus optional
-/// retry policy and default deadline, then [`build`](Self::build):
-///
-/// ```no_run
-/// use rfid_serve::{ClientBuilder, ServeClient};
-/// # let job: rfid_serve::JobSpec = unimplemented!();
-/// let mut client = ClientBuilder::new()
-///     .addrs(["10.0.0.1:7400".into(), "10.0.0.2:7400".into()])
-///     .deadline_ms(2_000)
-///     .build()
-///     .unwrap();
-/// let reply = client.schedule(&job, None).unwrap();
-/// ```
-#[derive(Default)]
-pub struct ClientBuilder {
-    addrs: Vec<String>,
-    service: Option<Service>,
-    policy: Option<FailoverPolicy>,
-    deadline_ms: Option<u64>,
-}
-
-impl ClientBuilder {
-    /// An empty builder: configure a target before
-    /// [`build`](Self::build).
-    pub fn new() -> ClientBuilder {
-        ClientBuilder::default()
-    }
-
-    /// Adds one server (or router) address. Called once, the built
-    /// client is plain TCP; called repeatedly (or combined with
-    /// [`policy`](Self::policy)), it fails over across the list.
-    pub fn addr(mut self, addr: impl Into<String>) -> ClientBuilder {
-        self.addrs.push(addr.into());
-        self
-    }
-
-    /// Adds several addresses at once (failover order).
-    pub fn addrs(mut self, addrs: impl IntoIterator<Item = String>) -> ClientBuilder {
-        self.addrs.extend(addrs);
-        self
-    }
-
-    /// Targets an in-process [`Service`] — no socket, same surface.
-    pub fn in_process(mut self, service: Service) -> ClientBuilder {
-        self.service = Some(service);
-        self
-    }
-
-    /// Retry policy for the failover transport. Setting a policy makes
-    /// the built client a failover client even over a single address
-    /// (retrying that one address with backoff).
-    pub fn policy(mut self, policy: FailoverPolicy) -> ClientBuilder {
-        self.policy = Some(policy);
-        self
-    }
-
-    /// Default server-side deadline applied to every schedule call that
-    /// does not pass its own.
-    pub fn deadline_ms(mut self, ms: u64) -> ClientBuilder {
-        self.deadline_ms = Some(ms);
-        self
-    }
-
-    /// Builds the client the configuration implies. Errors when no
-    /// target was configured or the single-address TCP connect fails
-    /// (failover targets connect lazily, per attempt).
-    pub fn build(self) -> Result<BuiltClient, ClientError> {
-        let transport = match (self.service, self.addrs, self.policy) {
-            (Some(service), addrs, _) if addrs.is_empty() => Transport::InProcess(service),
-            (Some(_), _, _) => {
-                return Err(ClientError::Protocol(
-                    "client builder: configure either in_process or addresses, not both".into(),
-                ))
-            }
-            (None, addrs, _) if addrs.is_empty() => {
-                return Err(ClientError::Protocol(
-                    "client builder: no address and no in-process service configured".into(),
-                ))
-            }
-            (None, addrs, None) if addrs.len() == 1 => {
-                Transport::Tcp(TcpClient::connect(&addrs[0])?)
-            }
-            (None, addrs, policy) => Transport::Failover(FailoverClient::from_parts(
-                addrs,
-                policy.unwrap_or_default(),
-            )),
+        let request = Request::Key {
+            key: key.to_string(),
+            ops: (!ops.is_empty()).then(|| ops.to_vec()),
+            request_id: self.request_id(None),
+            v: Some(PROTOCOL_VERSION),
         };
-        Ok(BuiltClient {
-            transport,
-            default_deadline_ms: self.deadline_ms,
-            memo: KeyMemo::default(),
+        self.schedule_request(&request)
+    }
+
+    /// Pipelines a batch of schedule requests on one connection: all
+    /// frames are written before any response is read, and the server
+    /// answers them strictly in request order (the reactor's ordering
+    /// guarantee). Per-request application errors come back as inner
+    /// `Err`s; a transport failure fails (or fails over) the whole
+    /// batch.
+    pub fn schedule_batch(
+        &mut self,
+        jobs: &[JobSpec],
+        deadline_ms: Option<u64>,
+    ) -> Result<Vec<Result<ScheduleReply, ServiceError>>, ClientError> {
+        let mut batch = String::new();
+        for job in jobs {
+            batch.push_str(&encode_frame(&Request::Schedule {
+                job: job.clone(),
+                deadline_ms,
+                request_id: None,
+                v: Some(PROTOCOL_VERSION),
+            }));
+        }
+        self.call(&batch, |conn| {
+            jobs.iter()
+                .map(|_| schedule_result(read_response(conn)?))
+                .collect()
         })
+    }
+
+    /// Pushes cache entries to a peer daemon; returns how many the peer
+    /// newly applied. The replicator's delivery path.
+    pub fn gossip(&mut self, entries: &[GossipEntry]) -> Result<u64, ClientError> {
+        let request = Request::Gossip {
+            entries: entries.to_vec(),
+            v: Some(PROTOCOL_VERSION),
+        };
+        match self.round_trip(&request)? {
+            Response::GossipAck { applied } => Ok(applied),
+            other => Err(unexpected("GossipAck", other)),
+        }
+    }
+
+    /// Fetches service counters and the recorder's metrics snapshot
+    /// (fleet-wide when the peer is a router).
+    pub fn stats(&mut self) -> Result<(ServiceStats, String), ClientError> {
+        match self.round_trip(&Request::Stats)? {
+            Response::Stats { stats, metrics } => Ok((stats, metrics)),
+            other => Err(unexpected("Stats", other)),
+        }
+    }
+
+    /// Asks the daemon to shut down gracefully; resolves once the server
+    /// acknowledges with `Bye`.
+    pub fn shutdown_server(&mut self) -> Result<(), ClientError> {
+        match self.round_trip(&Request::Shutdown)? {
+            Response::Bye => Ok(()),
+            other => Err(unexpected("Bye", other)),
+        }
     }
 }
 
@@ -380,7 +424,7 @@ mod tests {
     use super::*;
     use crate::codec::Workload;
     use crate::server::Server;
-    use crate::service::ServeConfig;
+    use crate::service::{ServeConfig, Service, Target};
     use rfid_model::{RadiusModel, Scenario, ScenarioKind};
 
     fn small_job(seed: u64) -> JobSpec {
@@ -405,26 +449,31 @@ mod tests {
         }
     }
 
+    fn fast_policy() -> FailoverPolicy {
+        FailoverPolicy {
+            attempts: 4,
+            backoff: Duration::from_millis(1),
+            max_backoff: Duration::from_millis(5),
+        }
+    }
+
+    /// An address nothing listens on: a bound-then-dropped listener.
+    fn dead_addr() -> String {
+        let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        l.local_addr().unwrap().to_string()
+    }
+
     #[test]
     fn in_process_and_tcp_transports_return_identical_bytes() {
         let service = Service::start(quick()).unwrap();
         let server = Server::start("127.0.0.1:0", quick()).unwrap();
-        let mut local = ClientBuilder::new()
-            .in_process(service.clone())
-            .build()
-            .unwrap();
-        let mut remote = ClientBuilder::new()
-            .addr(server.addr().to_string())
-            .build()
-            .unwrap();
-        assert!(local.is_in_process());
-        assert!(!remote.is_in_process());
-        let a = local.schedule(&small_job(3), None).unwrap();
+        let mut remote = TcpClient::connect(&server.addr().to_string()).unwrap();
+        let a = service.schedule(&small_job(3), None).unwrap();
         let b = remote.schedule(&small_job(3), None).unwrap();
         assert_eq!(a.key, b.key);
         assert_eq!(a.payload, b.payload, "one contract across transports");
-        assert_eq!(local.stats().unwrap().solved, 1);
-        assert_eq!(remote.stats().unwrap().solved, 1);
+        assert_eq!(service.stats().solved, 1);
+        assert_eq!(remote.stats().unwrap().0.solved, 1);
         service.shutdown(true);
         server.shutdown();
     }
@@ -432,61 +481,19 @@ mod tests {
     #[test]
     fn multiple_addresses_build_a_failover_client() {
         let server = Server::start("127.0.0.1:0", quick()).unwrap();
-        let dead = {
-            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap().to_string()
-        };
-        let mut client = ClientBuilder::new()
-            .addr(dead)
-            .addr(server.addr().to_string())
-            .policy(FailoverPolicy {
+        let mut client = TcpClient::failover(
+            vec![dead_addr(), server.addr().to_string()],
+            FailoverPolicy {
                 attempts: 4,
                 backoff: Duration::from_millis(1),
                 max_backoff: Duration::from_millis(5),
-            })
-            .build()
-            .unwrap();
+            },
+        );
         let reply = client.schedule(&small_job(5), None).unwrap();
         assert!(!reply.cached);
         // Stats walk the peer list past the dead entry too.
-        assert_eq!(client.stats().unwrap().solved, 1);
+        assert_eq!(client.stats().unwrap().0.solved, 1);
         server.shutdown();
-    }
-
-    #[test]
-    fn builder_without_a_target_is_a_structured_error() {
-        match ClientBuilder::new().build() {
-            Err(ClientError::Protocol(m)) => assert!(m.contains("no address"), "{m}"),
-            other => panic!("expected a builder error, got {:?}", other.map(|_| ())),
-        }
-    }
-
-    #[test]
-    fn conflicting_targets_are_rejected() {
-        let service = Service::start(quick()).unwrap();
-        let result = ClientBuilder::new()
-            .in_process(service.clone())
-            .addr("127.0.0.1:1")
-            .build();
-        match result {
-            Err(ClientError::Protocol(m)) => assert!(m.contains("not both"), "{m}"),
-            other => panic!("expected a builder error, got {:?}", other.map(|_| ())),
-        }
-        service.shutdown(true);
-    }
-
-    #[test]
-    fn builder_default_deadline_applies_when_calls_pass_none() {
-        let service = Service::start(quick()).unwrap();
-        let mut client = ClientBuilder::new()
-            .in_process(service.clone())
-            .deadline_ms(30_000)
-            .build()
-            .unwrap();
-        // A generous default deadline must not reject a normal solve.
-        let reply = client.schedule(&small_job(8), None).unwrap();
-        assert!(!reply.cached);
-        service.shutdown(true);
     }
 
     #[test]
@@ -494,27 +501,23 @@ mod tests {
         let service = Service::start(quick()).unwrap();
         let server = Server::start("127.0.0.1:0", quick()).unwrap();
         let ops = vec![ScenarioDelta::AddTag { x: 8.0, y: 9.0 }];
-        let mut local = ClientBuilder::new()
-            .in_process(service.clone())
-            .build()
-            .unwrap();
-        let mut remote = ClientBuilder::new()
-            .addr(server.addr().to_string())
-            .build()
-            .unwrap();
-        let mut failover = ClientBuilder::new()
-            .addr(server.addr().to_string())
-            .policy(FailoverPolicy {
+        let mut remote = TcpClient::connect(&server.addr().to_string()).unwrap();
+        let mut failover = TcpClient::failover(
+            vec![server.addr().to_string()],
+            FailoverPolicy {
                 attempts: 2,
                 backoff: Duration::from_millis(1),
                 max_backoff: Duration::from_millis(2),
-            })
-            .build()
-            .unwrap();
+            },
+        );
         let job = small_job(13);
-        let a_base = local.schedule(&job, None).unwrap();
+        let a_base = service.schedule(&job, None).unwrap();
         let b_base = remote.schedule(&job, None).unwrap();
-        let a = local.schedule_delta(&a_base.key, &ops, None, None).unwrap();
+        let delta = Target::Delta {
+            base: &a_base.key,
+            ops: &ops,
+        };
+        let a = service.request(delta, None, None).unwrap();
         let b = remote
             .schedule_delta(&b_base.key, &ops, None, None)
             .unwrap();
@@ -541,90 +544,60 @@ mod tests {
         server.shutdown();
     }
 
-    fn key_hits(service: &Service) -> u64 {
-        let metrics: serde_json::Value = serde_json::from_str(&service.metrics_json()).unwrap();
-        metrics["counters"]["serve.key.hit"].as_f64().unwrap_or(0.0) as u64
-    }
-
     #[test]
-    fn repeat_submissions_take_the_key_fast_path() {
-        let service = Service::start(quick()).unwrap();
+    fn failover_skips_a_dead_peer() {
         let server = Server::start("127.0.0.1:0", quick()).unwrap();
-        let mut local = ClientBuilder::new()
-            .in_process(service.clone())
-            .build()
-            .unwrap();
-        let mut remote = ClientBuilder::new()
-            .addr(server.addr().to_string())
-            .build()
-            .unwrap();
-        let job = small_job(21);
-        let cold_l = local.schedule(&job, None).unwrap();
-        let warm_l = local.schedule(&job, None).unwrap();
-        assert!(warm_l.cached);
-        assert_eq!(warm_l.payload, cold_l.payload);
-        assert_eq!(key_hits(&service), 1, "second submission went by key");
-
-        let cold_r = remote.schedule(&job, None).unwrap();
-        let warm_r = remote.schedule(&job, None).unwrap();
-        assert!(warm_r.cached);
-        assert_eq!(warm_r.payload, cold_r.payload);
-        assert_eq!(key_hits(&server.service()), 1);
-
-        // Deltas memoise too: a repeated delta is a key+ops hit.
-        let ops = vec![ScenarioDelta::AddTag { x: 1.0, y: 2.0 }];
-        let first = local.schedule_delta(&cold_l.key, &ops, None, None).unwrap();
-        let again = local.schedule_delta(&cold_l.key, &ops, None, None).unwrap();
-        assert!(again.cached);
-        assert_eq!(again.payload, first.payload);
-        assert_eq!(key_hits(&service), 2);
-        service.shutdown(true);
+        let mut client =
+            TcpClient::failover(vec![dead_addr(), server.addr().to_string()], fast_policy());
+        let reply = client.schedule(&small_job(1), None).unwrap();
+        assert!(!reply.cached);
         server.shutdown();
     }
 
     #[test]
-    fn evicted_keys_fall_back_to_the_full_frame_transparently() {
-        let service = Service::start(ServeConfig {
-            workers: 2,
-            queue_cap: 64,
-            cache_cap: 8,
-            ..ServeConfig::default()
-        })
-        .unwrap();
-        let mut client = ClientBuilder::new()
-            .in_process(service.clone())
-            .build()
-            .unwrap();
-        let job = small_job(50);
-        let cold = client.schedule(&job, None).unwrap();
-        // Evict it: enough distinct jobs to flush an 8-entry cache.
-        for seed in 51..60 {
-            client.schedule(&small_job(seed), None).unwrap();
-        }
-        // The memoised key now misses server-side; the client re-sends
-        // the full frame and the caller sees only a solved reply.
-        let again = client.schedule(&job, None).unwrap();
-        assert_eq!(
-            again.payload, cold.payload,
-            "determinism across the fallback"
+    fn failover_gives_up_after_bounded_attempts() {
+        let mut client = TcpClient::failover(
+            vec![dead_addr()],
+            FailoverPolicy {
+                attempts: 2,
+                backoff: Duration::from_millis(1),
+                max_backoff: Duration::from_millis(2),
+            },
         );
-        assert!(!again.cached, "re-solved after eviction");
-        service.shutdown(true);
+        let err = client.schedule(&small_job(1), None).unwrap_err();
+        assert!(matches!(err, ClientError::Io(_)), "{err}");
     }
 
     #[test]
-    fn dyn_serve_client_is_object_safe_across_transports() {
-        let service = Service::start(quick()).unwrap();
-        let mut built = ClientBuilder::new()
-            .in_process(service.clone())
-            .build()
-            .unwrap();
-        let client: &mut dyn ServeClient = &mut built;
-        let cold = client.schedule(&small_job(2), None).unwrap();
-        let warm = client.schedule(&small_job(2), None).unwrap();
-        assert!(!cold.cached);
-        assert!(warm.cached);
-        assert_eq!(cold.payload, warm.payload);
-        service.shutdown(true);
+    fn deterministic_errors_do_not_fail_over() {
+        let server = Server::start("127.0.0.1:0", quick()).unwrap();
+        let mut client = TcpClient::failover(vec![server.addr().to_string()], fast_policy());
+        let mut job = small_job(1);
+        job.algorithm = "quantum-annealing".into();
+        let err = client.schedule(&job, None).unwrap_err();
+        match err {
+            ClientError::Remote(e) => {
+                assert_eq!(e.code, crate::protocol::CODE_UNKNOWN_ALGORITHM)
+            }
+            other => panic!("expected the structured 404, got {other}"),
+        }
+        // One attempt only: no dedup-counted retries reached the server.
+        assert_eq!(server.service().stats().deduped, 0);
+        server.shutdown();
+    }
+
+    #[test]
+    fn retries_of_one_request_are_deduped_server_side() {
+        let server = Server::start("127.0.0.1:0", quick()).unwrap();
+        let addr = server.addr().to_string();
+        let job = small_job(2);
+        let mut c = TcpClient::connect(&addr).unwrap();
+        let a = c.schedule_with_id(&job, None, Some("client-x-0")).unwrap();
+        // The same request id again — as a failover retry would send.
+        let b = c.schedule_with_id(&job, None, Some("client-x-0")).unwrap();
+        assert_eq!(a.payload, b.payload);
+        let stats = server.service().stats();
+        assert_eq!(stats.deduped, 1);
+        server.shutdown();
     }
 }

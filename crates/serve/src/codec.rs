@@ -329,11 +329,13 @@ pub struct KeyFrameScan<'a> {
 /// recursive parse is pure overhead.
 ///
 /// The scanner is deliberately conservative: anything it cannot prove
-/// unambiguous — escapes in a field it needs, unknown fields, trailing
-/// bytes, malformed structure — returns `None` and the caller falls back
-/// to the ordinary `serde_json` decode. It never mis-extracts: string
-/// values are skipped with full escape handling, so a hostile
-/// `request_id` containing `"key":"…"` cannot spoof the key.
+/// unambiguous — escapes in a field it needs, unknown or repeated
+/// fields, trailing bytes, malformed structure — returns `None` and the
+/// caller falls back to the ordinary `serde_json` decode. It never
+/// mis-extracts: string values are skipped with full escape handling,
+/// so a hostile `request_id` containing `"key":"…"` cannot spoof the
+/// key, and every frame it accepts, serde decodes to the same fields
+/// (or, when it holds ops, may reject — the caller decodes those anyway).
 pub fn scan_key_frame(line: &str) -> Option<KeyFrameScan<'_>> {
     let mut s = Scanner::new(line.as_bytes());
     s.skip_ws();
@@ -351,6 +353,9 @@ pub fn scan_key_frame(line: &str) -> Option<KeyFrameScan<'_>> {
     let mut v = None;
     let mut request_id = None;
     let mut has_ops = false;
+    // Fields seen so far, one bit each: serde keeps a repeated field's
+    // first value, so rather than track which one wins, bail.
+    let mut seen = 0u8;
     s.skip_ws();
     if !s.try_eat(b'}') {
         loop {
@@ -362,15 +367,19 @@ pub fn scan_key_frame(line: &str) -> Option<KeyFrameScan<'_>> {
             s.skip_ws();
             s.eat(b':')?;
             s.skip_ws();
-            match name {
+            let bit = match name {
                 "key" => {
                     let (val, escaped) = s.string(line)?;
                     if escaped {
                         return None; // content keys are plain hex
                     }
                     key = Some(val);
+                    1
                 }
-                "v" => v = s.opt_u32()?,
+                "v" => {
+                    v = s.opt_u32()?;
+                    2
+                }
                 "request_id" => {
                     if s.try_literal(b"null") {
                         request_id = None;
@@ -381,16 +390,20 @@ pub fn scan_key_frame(line: &str) -> Option<KeyFrameScan<'_>> {
                         }
                         request_id = Some(val);
                     }
+                    4
                 }
                 "ops" => {
-                    if s.try_literal(b"null") {
-                        has_ops = false;
-                    } else {
+                    if !s.try_literal(b"null") {
                         has_ops = s.skip_array()?;
                     }
+                    8
                 }
                 _ => return None, // unknown field: full parse decides
+            };
+            if seen & bit != 0 {
+                return None;
             }
+            seen |= bit;
             s.skip_ws();
             if s.try_eat(b',') {
                 continue;
@@ -504,11 +517,15 @@ impl<'a> Scanner<'a> {
     }
 
     /// Skips a complete JSON array with bracket matching (strings are
-    /// skipped escape-aware so brackets inside them don't count).
-    /// Returns whether the array held anything but whitespace.
+    /// skipped escape-aware so brackets inside them don't count). A
+    /// closer that does not match its opener, or nesting deeper than 64,
+    /// bails. Returns whether the array held anything but whitespace.
     fn skip_array(&mut self) -> Option<bool> {
         self.eat(b'[')?;
-        let mut depth = 1usize;
+        // The open brackets as a bit stack, innermost in the low bit:
+        // 1 for `{`, 0 for `[`.
+        let mut open = 0u64;
+        let mut depth = 1u32;
         let mut nonempty = false;
         while depth > 0 {
             match self.b.get(self.i)? {
@@ -526,12 +543,20 @@ impl<'a> Scanner<'a> {
                     }
                     nonempty = true;
                 }
-                b'[' | b'{' => {
+                &c @ (b'[' | b'{') => {
+                    if depth == u64::BITS {
+                        return None;
+                    }
+                    open = open << 1 | u64::from(c == b'{');
                     depth += 1;
                     self.i += 1;
                     nonempty = true;
                 }
-                b']' | b'}' => {
+                &c @ (b']' | b'}') => {
+                    if (open & 1 == 1) != (c == b'}') {
+                        return None;
+                    }
+                    open >>= 1;
                     depth -= 1;
                     self.i += 1;
                 }
@@ -782,6 +807,8 @@ mod tests {
             r#"{"Key":{"v":4}}"#,                // no key at all
             r#"{"Key":{"key":"ff" "v":4}}"#,     // missing comma
             r#"{"Key":[1,2]}"#,                  // wrong value shape
+            r#"{"Key":{"key":"00000000000000ff","ops":[}}}"#, // mismatched closer
+            r#"{"Key":{"key":"00000000000000aa","key":"00000000000000bb"}}"#, // repeat
         ] {
             assert_eq!(scan_key_frame(bad), None, "must bail on {bad:?}");
         }

@@ -19,17 +19,17 @@
 //!    graceful drain-then-stop shutdown.
 //! 4. **Protocol** ([`protocol`], [`server`]) — JSON-lines over TCP
 //!    (`std::net` only, per the vendored-offline policy), served by a
-//!    nonblocking readiness loop ([`reactor`]) with request pipelining,
-//!    and consumed through one unified [`ClientBuilder`] /
-//!    [`ServeClient`] surface ([`client`]) over in-process, TCP and
-//!    failover transports.
+//!    nonblocking readiness loop ([`reactor`]) with request pipelining.
+//!    Every full, delta and key frame is one [`Target`] through
+//!    [`Service::submit`]. [`TcpClient`] ([`client`]) is the one client:
+//!    one peer, or failover across a peer list.
 //! 5. **Durability + replication** (DESIGN.md §10) — an append-only
 //!    checksummed journal with compacted snapshots over an injectable
 //!    [`Storage`] trait ([`storage`], [`journal`], [`snapshot`]), so a
 //!    restarted daemon recovers a warm cache from the longest valid
-//!    journal prefix; push-only cache gossip between peer daemons and a
-//!    client-side [`FailoverClient`] that retries idempotent requests
-//!    against the next peer ([`replicate`]).
+//!    journal prefix; push-only cache gossip between peer daemons
+//!    ([`replicate`]); and [`TcpClient::failover`], which retries
+//!    idempotent requests against the next peer.
 //! 6. **Sharding** ([`ring`], [`router`]) — a consistent-hash ring over
 //!    the FNV-1a content keys and a thin `mrrfid route` process that
 //!    fans requests out across N daemon instances, with stats
@@ -48,14 +48,14 @@
 //!    schedule by content key alone: a shallow frame scan
 //!    ([`codec::scan_key_frame`]) extracts the key without a serde
 //!    parse, the cache answers with pre-rendered payload bytes spliced
-//!    into the reply envelope ([`reactor::SplicedFrame`]), and a
-//!    structured `404` key-miss makes [`ClientBuilder`] clients fall
-//!    back to the full frame transparently.
+//!    into the reply envelope ([`reactor::SplicedFrame`]), and a key the
+//!    node does not hold is a structured `404` key-miss, the client's
+//!    cue to send the full frame ([`TcpClient::schedule_by_key`]).
 //!
 //! The **determinism contract**: a response payload is the canonical
 //! JSON of a [`ScheduleOutcome`] and contains no wall-clock data, so a
-//! cold solve, a warm cache hit, the in-process client, the TCP
-//! client, a journal-recovered restart and a gossip-warmed peer all
+//! cold solve, a warm cache hit, an in-process [`Service`] call, the
+//! TCP client, a journal-recovered restart and a gossip-warmed peer all
 //! return byte-identical payloads for the same request (enforced by
 //! `tests/serve.rs` and `tests/serve_chaos.rs`).
 
@@ -77,7 +77,7 @@ pub mod snapshot;
 pub mod storage;
 
 pub use cache::{CacheStats, ScheduleCache};
-pub use client::{BuiltClient, ClientBuilder, ServeClient};
+pub use client::{ClientError, FailoverPolicy, TcpClient};
 pub use codec::{
     canonical_json, decode_job, fnv1a64, scan_key_frame, CanonicalJob, CodecError, JobSpec,
     KeyFrameScan, Workload,
@@ -85,13 +85,13 @@ pub use codec::{
 pub use journal::{DurableStats, DurableStore, RecoveryReport, ReplayReport};
 pub use protocol::{FrameRead, GossipEntry, Request, Response, ServiceStats, PROTOCOL_VERSION};
 pub use queue::{PushError, ResponseSlot, WorkQueue};
-pub use replicate::{FailoverClient, FailoverPolicy, Replicator};
+pub use replicate::Replicator;
 pub use rfid_delta::ScenarioDelta;
 pub use ring::HashRing;
 pub use router::{Router, RouterConfig};
-pub use server::{ClientError, Server, TcpClient};
+pub use server::Server;
 pub use service::{
-    KeyHit, ScheduleOutcome, ScheduleReply, ServeConfig, Service, ServiceError, SlotSummary,
-    Submission,
+    ScheduleOutcome, ScheduleReply, ServeConfig, Service, ServiceError, SlotSummary, Submission,
+    Target,
 };
 pub use storage::{DiskStorage, FaultyStorage, Storage, StorageFaults};

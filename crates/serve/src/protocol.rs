@@ -19,7 +19,7 @@
 //!   still parse.
 
 use serde::{Deserialize, Serialize};
-use std::io::{BufRead, Write};
+use std::io::BufRead;
 
 use crate::codec::JobSpec;
 use rfid_delta::ScenarioDelta;
@@ -165,10 +165,11 @@ pub enum Request {
         /// Optional delta ops: address the cache under the key
         /// *derived* from `key` + `ops` instead of `key` itself.
         ops: Option<Vec<ScenarioDelta>>,
-        /// Optional client-chosen id (same wire shape as
-        /// [`Request::Schedule::request_id`]). Key requests are pure
-        /// cache probes, so the id is carried for symmetry and logging
-        /// but never deduplicated — a retried probe is already free.
+        /// Optional client-chosen id for failover retries (same
+        /// semantics as [`Request::Schedule::request_id`]): a repeat of
+        /// an id the server already recorded counts as a dedup. Key
+        /// requests never record an id themselves, since a probe admits
+        /// no job.
         request_id: Option<String>,
         /// Protocol version the sender speaks (same rules as
         /// [`Request::Schedule::v`]).
@@ -297,8 +298,8 @@ pub struct ServiceStats {
     pub replication_dropped: u64,
     /// Gossiped entries applied from peers.
     pub replicated_in: u64,
-    /// Schedule requests whose `request_id` was already seen (failover
-    /// retries of an idempotent request).
+    /// Full, delta and key requests whose `request_id` was already seen
+    /// (failover retries of an idempotent request).
     pub deduped: u64,
 }
 
@@ -307,12 +308,6 @@ pub fn encode_frame<T: Serialize>(frame: &T) -> String {
     let mut line = serde_json::to_string(frame).expect("frame serialisation cannot fail");
     line.push('\n');
     line
-}
-
-/// Writes one frame and flushes, so the peer sees it immediately.
-pub fn write_frame<T: Serialize, W: Write>(w: &mut W, frame: &T) -> std::io::Result<()> {
-    w.write_all(encode_frame(frame).as_bytes())?;
-    w.flush()
 }
 
 /// Parses one frame from a line (ignores the trailing newline).

@@ -32,7 +32,7 @@
 use std::collections::VecDeque;
 use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -111,36 +111,17 @@ impl<F: FnMut() -> Option<String> + Send> PendingReply for F {
     }
 }
 
-/// What the handler wants done with one request line.
-pub enum Action {
-    /// Queue the reply on this connection.
-    Reply(Reply),
-    /// Queue the reply, then close the connection once it is flushed
-    /// (fatal protocol abuse).
-    ReplyClose(Reply),
-    /// Queue the reply (typically `Bye`), then initiate process-wide
-    /// shutdown. The reactor keeps flushing so the reply is delivered;
-    /// the owner observes the shutdown request and tears down.
-    ReplyShutdown(Reply),
-}
-
 /// The application half of the event loop: turns one request line into
-/// an [`Action`]. One instance is shared by every connection, so
+/// its [`Reply`]. One instance is shared by every connection, so
 /// implementations hold their state behind `Arc`s (the daemon's handler
 /// wraps [`crate::Service`], the router's wraps its forwarding pool).
 pub trait FrameHandler: Send + Sync + 'static {
     /// Handles one complete, newline-stripped request line.
-    fn on_line(&self, line: &str) -> Action;
+    fn on_line(&self, line: &str) -> Reply;
 
     /// The frame sent in place of a reply still pending when the final
     /// drain gives up on it (shutdown with the result not ready).
     fn drain_fallback(&self) -> String;
-}
-
-enum Slot {
-    Ready(String),
-    Spliced(SplicedFrame),
-    Pending(Box<dyn PendingReply>),
 }
 
 /// One span of queued outgoing bytes. Small frames coalesce into reused
@@ -288,12 +269,10 @@ struct Conn {
     /// The vectored write path: encoded replies not yet on the socket.
     out: OutQueue,
     /// Replies not yet moved into `out`, strictly in request order.
-    replies: VecDeque<Slot>,
+    replies: VecDeque<Reply>,
     /// Peer half-closed its write side: serve what is buffered, flush,
     /// then drop.
     eof: bool,
-    /// Close once every queued reply is flushed.
-    close_after_flush: bool,
     /// Socket error or protocol abuse: drop now.
     dead: bool,
 }
@@ -308,7 +287,6 @@ impl Conn {
             out: OutQueue::new(),
             replies: VecDeque::new(),
             eof: false,
-            close_after_flush: false,
             dead: false,
         }
     }
@@ -323,10 +301,6 @@ struct Flags {
     stop: AtomicBool,
     /// Resolve leftovers, flush, exit.
     finish: AtomicBool,
-    /// A handler returned [`Action::ReplyShutdown`].
-    shutdown_seen: AtomicBool,
-    /// Connections accepted over the reactor's lifetime.
-    accepted: AtomicU64,
 }
 
 /// The running event loop. Owns the listener and every connection;
@@ -349,8 +323,6 @@ impl Reactor {
         let flags = Arc::new(Flags {
             stop: AtomicBool::new(false),
             finish: AtomicBool::new(false),
-            shutdown_seen: AtomicBool::new(false),
-            accepted: AtomicU64::new(0),
         });
         let loop_flags = Arc::clone(&flags);
         let handle = std::thread::Builder::new()
@@ -366,16 +338,6 @@ impl Reactor {
     /// The listener's bound address.
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// `true` once a connection sent a shutdown-requesting frame.
-    pub fn shutdown_requested(&self) -> bool {
-        self.flags.shutdown_seen.load(Ordering::SeqCst)
-    }
-
-    /// Connections accepted so far.
-    pub fn accepted(&self) -> u64 {
-        self.flags.accepted.load(Ordering::SeqCst)
     }
 
     /// Stops accepting connections and reading new frames. Already
@@ -428,7 +390,6 @@ fn event_loop<H: FrameHandler>(listener: TcpListener, handler: Arc<H>, flags: &F
                             continue;
                         }
                         let _ = stream.set_nodelay(true);
-                        flags.accepted.fetch_add(1, Ordering::SeqCst);
                         conns.push(Conn::new(stream));
                         progress = true;
                     }
@@ -443,18 +404,17 @@ fn event_loop<H: FrameHandler>(listener: TcpListener, handler: Arc<H>, flags: &F
             if conn.dead {
                 continue;
             }
-            if reading_allowed && !conn.close_after_flush {
-                progress |= read_and_dispatch(conn, handler.as_ref(), flags);
+            if reading_allowed {
+                progress |= read_and_dispatch(conn, handler.as_ref());
             }
             progress |= pump_replies(conn);
             progress |= flush(conn);
         }
-        // A connection is kept unless it died, or finished a requested
-        // close, or hit EOF with nothing left to answer or parse.
+        // A connection is kept unless it died, or hit EOF with nothing
+        // left to answer or parse.
         conns.retain(|c| {
-            let closed = c.close_after_flush && c.drained();
             let exhausted = c.eof && c.drained() && c.scanned >= c.rdbuf.len();
-            !(c.dead || closed || exhausted)
+            !(c.dead || exhausted)
         });
 
         if finishing {
@@ -473,7 +433,7 @@ fn event_loop<H: FrameHandler>(listener: TcpListener, handler: Arc<H>, flags: &F
 }
 
 /// Nonblocking read + line dispatch. Returns `true` on any progress.
-fn read_and_dispatch<H: FrameHandler>(conn: &mut Conn, handler: &H, flags: &Flags) -> bool {
+fn read_and_dispatch<H: FrameHandler>(conn: &mut Conn, handler: &H) -> bool {
     if conn.replies.len() >= MAX_PIPELINE {
         return false; // backpressure: let the client's TCP window fill
     }
@@ -516,26 +476,7 @@ fn read_and_dispatch<H: FrameHandler>(conn: &mut Conn, handler: &H, flags: &Flag
             continue;
         }
         progress = true;
-        let action = handler.on_line(&line);
-        let reply = match action {
-            Action::Reply(r) => r,
-            Action::ReplyClose(r) => {
-                conn.close_after_flush = true;
-                r
-            }
-            Action::ReplyShutdown(r) => {
-                flags.shutdown_seen.store(true, Ordering::SeqCst);
-                r
-            }
-        };
-        conn.replies.push_back(match reply {
-            Reply::Now(frame) => Slot::Ready(frame),
-            Reply::Spliced(frame) => Slot::Spliced(frame),
-            Reply::Pending(p) => Slot::Pending(p),
-        });
-        if conn.close_after_flush {
-            break; // nothing after a fatal frame is served
-        }
+        conn.replies.push_back(handler.on_line(&line));
     }
     reclaim_rdbuf(conn);
     progress
@@ -580,20 +521,20 @@ fn reclaim_rdbuf(conn: &mut Conn) {
 fn pump_replies(conn: &mut Conn) -> bool {
     let mut progress = false;
     while let Some(head) = conn.replies.front_mut() {
-        if let Slot::Pending(p) = head {
+        if let Reply::Pending(p) = head {
             match p.poll() {
-                Some(frame) => *head = Slot::Ready(frame),
+                Some(frame) => *head = Reply::Now(frame),
                 None => break,
             }
         }
         match conn.replies.pop_front().expect("head exists") {
-            Slot::Ready(frame) => conn.out.push_bytes(frame.as_bytes()),
-            Slot::Spliced(frame) => {
+            Reply::Now(frame) => conn.out.push_bytes(frame.as_bytes()),
+            Reply::Spliced(frame) => {
                 conn.out.push_bytes(frame.prefix.as_bytes());
                 conn.out.push_shared(frame.payload);
                 conn.out.push_bytes(frame.suffix.as_bytes());
             }
-            Slot::Pending(_) => unreachable!("resolved above"),
+            Reply::Pending(_) => unreachable!("resolved above"),
         }
         progress = true;
     }
@@ -613,9 +554,9 @@ fn flush(conn: &mut Conn) -> bool {
 /// worker that would have fulfilled them is gone or going).
 fn resolve_for_drain<H: FrameHandler>(conn: &mut Conn, handler: &H) {
     for slot in conn.replies.iter_mut() {
-        if let Slot::Pending(p) = slot {
+        if let Reply::Pending(p) = slot {
             let frame = p.poll().unwrap_or_else(|| handler.drain_fallback());
-            *slot = Slot::Ready(frame);
+            *slot = Reply::Now(frame);
         }
     }
 }
@@ -628,7 +569,7 @@ mod tests {
 
     /// Echoes `ok:<line>`; `slow:<n>` answers after `n` polls; `key:<x>`
     /// and `big` answer with spliced frames; `gated:<x>` answers once
-    /// the shared gate opens; `close` closes; `stop` requests shutdown.
+    /// the shared gate opens.
     struct EchoHandler {
         /// Every line that reached `on_line`, in order.
         seen: Mutex<Vec<String>>,
@@ -637,50 +578,44 @@ mod tests {
     }
 
     impl FrameHandler for EchoHandler {
-        fn on_line(&self, line: &str) -> Action {
+        fn on_line(&self, line: &str) -> Reply {
             let line = line.trim().to_string();
             self.seen.lock().unwrap().push(line.clone());
-            if line == "close" {
-                return Action::ReplyClose(Reply::Now("bye\n".into()));
-            }
-            if line == "stop" {
-                return Action::ReplyShutdown(Reply::Now("stopping\n".into()));
-            }
             if let Some(n) = line.strip_prefix("slow:") {
                 let mut left: u32 = n.parse().unwrap();
                 let tag = line.clone();
-                return Action::Reply(Reply::Pending(Box::new(move || {
+                return Reply::Pending(Box::new(move || {
                     if left == 0 {
                         Some(format!("ok:{tag}\n"))
                     } else {
                         left -= 1;
                         None
                     }
-                })));
+                }));
             }
             if let Some(tag) = line.strip_prefix("gated:") {
                 let gate = Arc::clone(&self.gate);
                 let tag = tag.to_string();
-                return Action::Reply(Reply::Pending(Box::new(move || {
+                return Reply::Pending(Box::new(move || {
                     gate.load(Ordering::SeqCst)
                         .then(|| format!("ok:gated:{tag}\n"))
-                })));
+                }));
             }
             if let Some(tag) = line.strip_prefix("key:") {
-                return Action::Reply(Reply::Spliced(SplicedFrame {
+                return Reply::Spliced(SplicedFrame {
                     prefix: format!("{{\"k\":\"{tag}\",\"p\":"),
                     payload: Arc::from(format!("\"payload-{tag}\"")),
                     suffix: "}\n",
-                }));
+                });
             }
             if line == "big" {
-                return Action::Reply(Reply::Spliced(SplicedFrame {
+                return Reply::Spliced(SplicedFrame {
                     prefix: "big:".into(),
                     payload: Arc::from("x".repeat(4 * 1024 * 1024)),
                     suffix: ":end\n",
-                }));
+                });
             }
-            Action::Reply(Reply::Now(format!("ok:{line}\n")))
+            Reply::Now(format!("ok:{line}\n"))
         }
 
         fn drain_fallback(&self) -> String {
@@ -756,35 +691,6 @@ mod tests {
             r.read_line(&mut line).unwrap();
             assert_eq!(line, format!("ok:conn{i}\n"));
         }
-        reactor.stop();
-    }
-
-    #[test]
-    fn reply_close_flushes_then_drops() {
-        let (reactor, addr, _) = echo_reactor();
-        let stream = TcpStream::connect(&addr).unwrap();
-        let mut reader = BufReader::new(stream);
-        reader.get_mut().write_all(b"close\nafter\n").unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert_eq!(line, "bye\n");
-        // The connection is closed; "after" is never served.
-        let mut rest = String::new();
-        reader.read_line(&mut rest).unwrap();
-        assert_eq!(rest, "", "EOF after the fatal frame");
-        reactor.stop();
-    }
-
-    #[test]
-    fn shutdown_action_raises_the_flag_and_still_delivers_the_reply() {
-        let (reactor, addr, _) = echo_reactor();
-        let stream = TcpStream::connect(&addr).unwrap();
-        let mut reader = BufReader::new(stream);
-        reader.get_mut().write_all(b"stop\n").unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert_eq!(line, "stopping\n");
-        assert!(reactor.shutdown_requested());
         reactor.stop();
     }
 

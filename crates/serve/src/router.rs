@@ -5,7 +5,8 @@
 //! daemons. The router reuses the daemon's own building blocks — the
 //! [`crate::reactor`] event loop on the client side, a
 //! [`crate::WorkQueue`] + forwarder threads per shard on the daemon
-//! side — and speaks the same JSON-lines protocol on both faces, so a
+//! side, each forwarder a [`crate::TcpClient`] — and speaks the same
+//! JSON-lines protocol on both faces, so a
 //! client cannot tell a router from a daemon:
 //!
 //! * **Schedule** frames are canonicalised with the same
@@ -30,23 +31,22 @@
 //! slice of the keyspace: N daemons give N× the cache capacity and N×
 //! the solve throughput, at one extra network hop of latency.
 
+use crate::client::{ClientError, FailoverPolicy, TcpClient};
 use crate::codec::{scan_key_frame, CanonicalJob, JobSpec};
 use crate::protocol::{
-    decode_frame, encode_frame, read_frame, version_gate, FrameRead, GossipEntry, Request,
-    Response, ServiceStats, CODE_BAD_REQUEST, CODE_QUEUE_FULL, CODE_SHUTTING_DOWN,
-    PROTOCOL_VERSION,
+    decode_frame, encode_frame, version_gate, GossipEntry, Request, Response, ServiceStats,
+    CODE_BAD_REQUEST, CODE_QUEUE_FULL, CODE_SHUTTING_DOWN, PROTOCOL_VERSION,
 };
 use crate::queue::{PushError, ResponseSlot, WorkQueue};
-use crate::reactor::{Action, FrameHandler, Reactor, Reply};
+use crate::reactor::{FrameHandler, Reactor, Reply};
 use crate::ring::HashRing;
-use crate::server::ClientError;
 use crate::service::ServiceError;
 use rfid_core::SchedulerRegistry;
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Router construction parameters (the CLI's `route` flags).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -150,7 +150,7 @@ struct RouteHandler {
 }
 
 impl RouteHandler {
-    fn route_schedule(&self, line: &str, job: &JobSpec) -> Action {
+    fn route_schedule(&self, line: &str, job: &JobSpec) -> Reply {
         let shared = &self.shared;
         // Same canonicalisation as the daemon: router and shard agree
         // on the key byte-for-byte. Codec errors answer locally — no
@@ -159,10 +159,10 @@ impl RouteHandler {
             Ok(c) => c,
             Err(e) => {
                 let err = ServiceError::from(e);
-                return Action::Reply(Reply::Now(encode_frame(&Response::Error {
+                return Reply::Now(encode_frame(&Response::Error {
                     code: err.code,
                     message: err.message,
-                })));
+                }));
             }
         };
         self.forward_to_shard(line, shared.ring.shard_of(canonical.key))
@@ -172,12 +172,12 @@ impl RouteHandler {
     /// solved the base holds its spec, so it is the one node that can
     /// patch it. The derived payload is cached there too, so a repeated
     /// delta against the same base is a warm hit on the owning shard.
-    fn route_delta(&self, line: &str, base: &str) -> Action {
+    fn route_delta(&self, line: &str, base: &str) -> Reply {
         let Some(base_key) = rfid_delta::parse_key_hex(base) else {
-            return Action::Reply(Reply::Now(encode_frame(&Response::Error {
+            return Reply::Now(encode_frame(&Response::Error {
                 code: CODE_BAD_REQUEST,
                 message: format!("malformed base key {base:?}: expected 16 hex digits"),
-            })));
+            }));
         };
         self.forward_to_shard(line, self.shared.ring.shard_of(base_key))
     }
@@ -187,19 +187,19 @@ impl RouteHandler {
     /// the base's shard). No canonicalisation, no codec: the key is all
     /// the ring needs, so the shallow scan suffices and the line
     /// forwards verbatim.
-    fn route_key(&self, line: &str, key: &str) -> Action {
+    fn route_key(&self, line: &str, key: &str) -> Reply {
         let Some(base_key) = rfid_delta::parse_key_hex(key) else {
-            return Action::Reply(Reply::Now(encode_frame(&Response::Error {
+            return Reply::Now(encode_frame(&Response::Error {
                 code: CODE_BAD_REQUEST,
                 message: format!("malformed key {key:?}: expected 16 hex digits"),
-            })));
+            }));
         };
         self.forward_to_shard(line, self.shared.ring.shard_of(base_key))
     }
 
     /// Counts the route and forwards the raw line verbatim; the shard's
     /// exact reply bytes ride back through a pending reply.
-    fn forward_to_shard(&self, line: &str, shard: usize) -> Action {
+    fn forward_to_shard(&self, line: &str, shard: usize) -> Reply {
         let shared = &self.shared;
         shared.routed[shard].fetch_add(1, Ordering::Relaxed);
         let mut frame = line.trim_end_matches(['\r', '\n']).to_string();
@@ -207,16 +207,16 @@ impl RouteHandler {
         match shared.forward(shard, frame) {
             Ok(slot) => {
                 let shared = Arc::clone(shared);
-                Action::Reply(Reply::Pending(Box::new(move || {
+                Reply::Pending(Box::new(move || {
                     slot.try_take()
                         .map(|result| forwarded_frame(&shared, shard, result))
-                })))
+                }))
             }
-            Err(e) => Action::Reply(Reply::Now(encode_frame(&admission_error(e)))),
+            Err(e) => Reply::Now(encode_frame(&admission_error(e))),
         }
     }
 
-    fn route_gossip(&self, entries: Vec<GossipEntry>) -> Action {
+    fn route_gossip(&self, entries: Vec<GossipEntry>) -> Reply {
         let shared = &self.shared;
         // Partition entries by owning shard; unparseable keys are
         // dropped (a daemon would reject them anyway).
@@ -241,7 +241,7 @@ impl RouteHandler {
         }
         // Sum the acks as they land; an unreachable shard contributes 0.
         let mut applied = 0u64;
-        Action::Reply(Reply::Pending(Box::new(move || {
+        Reply::Pending(Box::new(move || {
             while let Some(slot) = slots.last() {
                 match slot.try_take() {
                     Some(Ok(Response::GossipAck { applied: n })) => {
@@ -255,10 +255,10 @@ impl RouteHandler {
                 }
             }
             Some(encode_frame(&Response::GossipAck { applied }))
-        })))
+        }))
     }
 
-    fn route_stats(&self) -> Action {
+    fn route_stats(&self) -> Reply {
         let shared = &self.shared;
         let frame = encode_frame(&Request::Stats);
         let mut slots = Vec::new();
@@ -269,7 +269,7 @@ impl RouteHandler {
         }
         let mut total = ServiceStats::default();
         let mut metrics: Vec<String> = Vec::new();
-        Action::Reply(Reply::Pending(Box::new(move || {
+        Reply::Pending(Box::new(move || {
             while let Some(slot) = slots.last() {
                 match slot.try_take() {
                     Some(Ok(Response::Stats { stats, metrics: m })) => {
@@ -287,54 +287,54 @@ impl RouteHandler {
                 stats: total,
                 metrics: format!("[{}]", metrics.join(",")),
             }))
-        })))
+        }))
     }
 }
 
 impl FrameHandler for RouteHandler {
-    fn on_line(&self, line: &str) -> Action {
+    fn on_line(&self, line: &str) -> Reply {
         // Key frames need only the key to route (ops or not), so the
         // shallow scan skips the serde parse entirely; anything the
         // scanner finds ambiguous falls through to the full decode,
         // whose `Request::Key` arm routes identically.
         if let Some(scan) = scan_key_frame(line) {
             return match version_gate(scan.v) {
-                Some(err) => Action::Reply(Reply::Now(encode_frame(&err))),
+                Some(err) => Reply::Now(encode_frame(&err)),
                 None => self.route_key(line, scan.key),
             };
         }
         match decode_frame::<Request>(line) {
             Ok(Request::Hello { v }) => match version_gate(Some(v)) {
-                Some(err) => Action::Reply(Reply::Now(encode_frame(&err))),
-                None => Action::Reply(Reply::Now(encode_frame(&Response::HelloAck {
+                Some(err) => Reply::Now(encode_frame(&err)),
+                None => Reply::Now(encode_frame(&Response::HelloAck {
                     v: PROTOCOL_VERSION,
-                }))),
+                })),
             },
             Ok(Request::Schedule { ref job, v, .. }) => match version_gate(v) {
-                Some(err) => Action::Reply(Reply::Now(encode_frame(&err))),
+                Some(err) => Reply::Now(encode_frame(&err)),
                 None => self.route_schedule(line, job),
             },
             Ok(Request::Delta { ref base, v, .. }) => match version_gate(v) {
-                Some(err) => Action::Reply(Reply::Now(encode_frame(&err))),
+                Some(err) => Reply::Now(encode_frame(&err)),
                 None => self.route_delta(line, base),
             },
             Ok(Request::Key { ref key, v, .. }) => match version_gate(v) {
-                Some(err) => Action::Reply(Reply::Now(encode_frame(&err))),
+                Some(err) => Reply::Now(encode_frame(&err)),
                 None => self.route_key(line, key),
             },
             Ok(Request::Gossip { entries, v }) => match version_gate(v) {
-                Some(err) => Action::Reply(Reply::Now(encode_frame(&err))),
+                Some(err) => Reply::Now(encode_frame(&err)),
                 None => self.route_gossip(entries),
             },
             Ok(Request::Stats) => self.route_stats(),
             Ok(Request::Shutdown) => {
                 self.shared.request_shutdown();
-                Action::ReplyShutdown(Reply::Now(encode_frame(&Response::Bye)))
+                Reply::Now(encode_frame(&Response::Bye))
             }
-            Err(message) => Action::Reply(Reply::Now(encode_frame(&Response::Error {
+            Err(message) => Reply::Now(encode_frame(&Response::Error {
                 code: CODE_BAD_REQUEST,
                 message: format!("unparseable frame: {message}"),
-            }))),
+            })),
         }
     }
 
@@ -372,67 +372,22 @@ fn add_stats(a: &mut ServiceStats, b: &ServiceStats) {
     a.deduped += b.deduped;
 }
 
-/// Delivery attempts (reconnect included) per forwarded frame before it
-/// resolves as a transport error. Schedule, gossip and stats frames are
-/// all idempotent, so a blind re-send is safe.
-const FORWARD_ATTEMPTS: usize = 2;
+/// Forwarding of one frame: 2 attempts back to back, the second on a
+/// fresh connection, before it resolves as a transport error.
+/// Schedule, gossip and stats frames are all idempotent, so a blind
+/// re-send is safe.
+const FORWARD: FailoverPolicy = FailoverPolicy {
+    attempts: 2,
+    backoff: Duration::ZERO,
+    max_backoff: Duration::ZERO,
+};
 
 /// One forwarder thread: owns one connection to its shard, drains the
 /// shard's queue, round-trips each frame, fulfills each slot.
 fn forward_loop(addr: String, queue: Arc<WorkQueue<ForwardJob>>) {
-    let mut conn: Option<BufReader<TcpStream>> = None;
+    let mut shard = TcpClient::failover(vec![addr], FORWARD);
     while let Some(job) = queue.pop() {
-        let mut last_err = ClientError::Io("unreachable".into());
-        let mut result = None;
-        for _ in 0..FORWARD_ATTEMPTS {
-            if conn.is_none() {
-                match TcpStream::connect(&addr) {
-                    Ok(s) => {
-                        let _ = s.set_nodelay(true);
-                        conn = Some(BufReader::new(s));
-                    }
-                    Err(e) => {
-                        last_err = ClientError::Io(e.to_string());
-                        continue;
-                    }
-                }
-            }
-            let c = conn.as_mut().expect("connected above");
-            let wrote = c
-                .get_mut()
-                .write_all(job.frame.as_bytes())
-                .and_then(|()| c.get_mut().flush());
-            if let Err(e) = wrote {
-                conn = None;
-                last_err = e.into();
-                continue;
-            }
-            match read_frame::<Response, _>(c) {
-                Ok(FrameRead::Frame(response)) => {
-                    result = Some(Ok(response));
-                    break;
-                }
-                Ok(FrameRead::Malformed(m)) => {
-                    result = Some(Err(ClientError::Protocol(m)));
-                    break;
-                }
-                Ok(FrameRead::Eof) => {
-                    conn = None;
-                    last_err = ClientError::Disconnected("shard closed the connection".into());
-                }
-                Ok(FrameRead::SeveredMidFrame { partial_bytes }) => {
-                    conn = None;
-                    last_err = ClientError::Disconnected(format!(
-                        "shard severed mid-frame ({partial_bytes} partial bytes)"
-                    ));
-                }
-                Err(e) => {
-                    conn = None;
-                    last_err = e.into();
-                }
-            }
-        }
-        job.slot.fulfill(result.unwrap_or(Err(last_err)));
+        job.slot.fulfill(shard.forward(&job.frame));
     }
 }
 
@@ -580,7 +535,7 @@ impl Drop for Router {
 mod tests {
     use super::*;
     use crate::codec::Workload;
-    use crate::server::{Server, TcpClient};
+    use crate::server::Server;
     use crate::service::ServeConfig;
     use rfid_model::{RadiusModel, Scenario, ScenarioKind};
 

@@ -1,4 +1,4 @@
-//! The zero-dependency TCP daemon and its blocking client.
+//! The zero-dependency TCP daemon.
 //!
 //! `std::net` only, per the vendored-offline policy. Since PR 8 the
 //! daemon is event-driven: one [`crate::reactor`] thread owns every
@@ -6,7 +6,7 @@
 //! request pipelining with strictly ordered responses) and the
 //! [`Service`] worker pool stays the solve executor behind it. The old
 //! thread-per-connection model — a parked thread and a 200 ms poll tick
-//! per socket — is gone.
+//! per socket — is gone. Its client is [`crate::TcpClient`].
 //!
 //! Graceful shutdown is a three-step handshake: a `Shutdown` frame (or
 //! [`Server::request_shutdown`]) raises the stop flag;
@@ -17,14 +17,12 @@
 
 use crate::codec::scan_key_frame;
 use crate::protocol::{
-    decode_frame, encode_frame, read_frame, version_gate, FrameRead, GossipEntry, Request,
-    Response, ServiceStats, CODE_SHUTTING_DOWN, PROTOCOL_VERSION,
+    decode_frame, encode_frame, version_gate, Request, Response, CODE_BAD_REQUEST,
+    CODE_SHUTTING_DOWN, PROTOCOL_VERSION,
 };
-use crate::reactor::{Action, FrameHandler, Reactor, Reply, SplicedFrame};
-use crate::service::{KeyHit, ScheduleReply, ServeConfig, Service, ServiceError, Submission};
-use crate::JobSpec;
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use crate::reactor::{FrameHandler, Reactor, Reply, SplicedFrame};
+use crate::service::{ScheduleReply, ServeConfig, Service, ServiceError, Submission, Target};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -52,168 +50,115 @@ struct ServeHandler {
 }
 
 impl ServeHandler {
-    fn schedule_action(
+    /// The one action of every schedule-producing frame — full, delta
+    /// or key, scanned or decoded: gate the version, submit the target,
+    /// and answer now or with a pending reply that polls the slot until
+    /// the result lands or `deadline_ms` passes.
+    fn submit(
         &self,
-        job: &JobSpec,
+        v: Option<u32>,
+        target: Target<'_>,
         deadline_ms: Option<u64>,
         request_id: Option<&str>,
-    ) -> Action {
-        match self.shared.service.submit_with_id(job, request_id) {
-            Submission::Ready(result) => Action::Reply(Reply::Now(schedule_frame(result))),
-            Submission::Queued(slot) => {
-                let service = self.shared.service.clone();
-                let give_up_at = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-                let deadline_desc = format!("{:?}", deadline_ms.map(Duration::from_millis));
-                Action::Reply(Reply::Pending(Box::new(move || {
-                    if let Some(result) = slot.try_take() {
-                        return Some(schedule_frame(result));
-                    }
-                    if let Some(at) = give_up_at {
-                        if Instant::now() >= at {
-                            slot.abandon();
-                            // The worker may have fulfilled between the
-                            // poll and the abandon — honour that result.
-                            if let Some(result) = slot.try_take() {
-                                return Some(schedule_frame(result));
-                            }
-                            return Some(schedule_frame(Err(
-                                service.deadline_expired(&deadline_desc)
-                            )));
-                        }
-                    }
-                    None
-                })))
-            }
+    ) -> Reply {
+        if let Some(err) = version_gate(v) {
+            return Reply::Now(encode_frame(&err));
         }
-    }
-
-    /// The delta twin of [`schedule_action`](Self::schedule_action):
-    /// admission resolves the base and patches it inline; every result
-    /// — immediate or polled — passes through
-    /// [`Service::finish_delta`] so the reply is addressed (and the
-    /// payload aliased) under the derived key.
-    fn delta_action(
-        &self,
-        base: &str,
-        ops: &[rfid_delta::ScenarioDelta],
-        deadline_ms: Option<u64>,
-        request_id: Option<&str>,
-    ) -> Action {
+        let slot = match self.shared.service.submit(target, request_id) {
+            Submission::Ready(result) => return schedule_reply(result),
+            Submission::Queued(slot) => slot,
+        };
         let service = self.shared.service.clone();
-        let (derived, submission) = service.submit_delta(base, ops, request_id);
-        match submission {
-            Submission::Ready(result) => Action::Reply(Reply::Now(schedule_frame(
-                service.finish_delta(derived, result),
-            ))),
-            Submission::Queued(slot) => {
-                let give_up_at = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-                let deadline_desc = format!("{:?}", deadline_ms.map(Duration::from_millis));
-                Action::Reply(Reply::Pending(Box::new(move || {
-                    if let Some(result) = slot.try_take() {
-                        return Some(schedule_frame(service.finish_delta(derived, result)));
-                    }
-                    if let Some(at) = give_up_at {
-                        if Instant::now() >= at {
-                            slot.abandon();
-                            if let Some(result) = slot.try_take() {
-                                return Some(schedule_frame(service.finish_delta(derived, result)));
-                            }
-                            return Some(schedule_frame(Err(
-                                service.deadline_expired(&deadline_desc)
-                            )));
-                        }
-                    }
-                    None
-                })))
+        let give_up_at = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
+        Reply::Pending(Box::new(move || {
+            if let Some(result) = slot.try_take() {
+                return Some(schedule_frame(result));
             }
-        }
-    }
-
-    /// The request-by-key path: answer from the cache by content key
-    /// alone — a hit splices the entry's pre-rendered payload bytes
-    /// into the reply envelope (no serde re-serialization, no payload
-    /// copy); a miss is a structured `404` whose message starts with
-    /// `key-miss`, the client's cue to fall back to the full frame.
-    fn key_action(&self, key: &str, ops: &[rfid_delta::ScenarioDelta]) -> Action {
-        match self.shared.service.request_by_key(key, ops) {
-            Ok(hit) => Action::Reply(Reply::Spliced(spliced_schedule_frame(&hit))),
-            Err(err) => Action::Reply(Reply::Now(encode_frame(&Response::Error {
-                code: err.code,
-                message: err.message,
-            }))),
-        }
+            // No deadline, or not reached yet: keep polling.
+            if Instant::now() < give_up_at? {
+                return None;
+            }
+            slot.abandon();
+            // The worker may have fulfilled between the poll and the
+            // abandon — honour that result.
+            let result = slot.try_take().unwrap_or_else(|| {
+                let waited = format!("{:?}", deadline_ms.map(Duration::from_millis));
+                Err(service.deadline_expired(&waited))
+            });
+            Some(schedule_frame(result))
+        }))
     }
 }
 
 impl FrameHandler for ServeHandler {
-    fn on_line(&self, line: &str) -> Action {
+    fn on_line(&self, line: &str) -> Reply {
         // Fast path: a shallow scan answers ops-free key frames without
         // a full serde parse. Frames carrying ops (their deltas need
         // real decoding) and anything the scanner finds ambiguous take
         // the decode below — `Request::Key` handles both identically.
         if let Some(scan) = scan_key_frame(line) {
             if !scan.has_ops {
-                return match version_gate(scan.v) {
-                    Some(err) => Action::Reply(Reply::Now(encode_frame(&err))),
-                    None => self.key_action(scan.key, &[]),
+                let target = Target::Key {
+                    key: scan.key,
+                    ops: &[],
                 };
+                return self.submit(scan.v, target, None, scan.request_id);
             }
         }
-        match decode_frame::<Request>(line) {
-            Ok(Request::Hello { v }) => match version_gate(Some(v)) {
-                Some(err) => Action::Reply(Reply::Now(encode_frame(&err))),
-                None => Action::Reply(Reply::Now(encode_frame(&Response::HelloAck {
-                    v: PROTOCOL_VERSION,
-                }))),
-            },
-            Ok(Request::Schedule {
-                job,
+        let request = match decode_frame::<Request>(line) {
+            Ok(request) => request,
+            Err(message) => {
+                return Reply::Now(encode_frame(&Response::Error {
+                    code: CODE_BAD_REQUEST,
+                    message: format!("unparseable frame: {message}"),
+                }))
+            }
+        };
+        let service = &self.shared.service;
+        let response = match request {
+            Request::Schedule {
+                ref job,
                 deadline_ms,
-                request_id,
+                ref request_id,
                 v,
-            }) => match version_gate(v) {
-                Some(err) => Action::Reply(Reply::Now(encode_frame(&err))),
-                None => self.schedule_action(&job, deadline_ms, request_id.as_deref()),
-            },
-            Ok(Request::Delta {
-                base,
-                ops,
+            } => return self.submit(v, Target::Job(job), deadline_ms, request_id.as_deref()),
+            Request::Delta {
+                ref base,
+                ref ops,
                 deadline_ms,
-                request_id,
+                ref request_id,
                 v,
-            }) => match version_gate(v) {
-                Some(err) => Action::Reply(Reply::Now(encode_frame(&err))),
-                None => self.delta_action(&base, &ops, deadline_ms, request_id.as_deref()),
-            },
-            Ok(Request::Key {
-                key,
-                ops,
-                request_id: _,
+            } => {
+                let target = Target::Delta { base, ops };
+                return self.submit(v, target, deadline_ms, request_id.as_deref());
+            }
+            Request::Key {
+                ref key,
+                ref ops,
+                ref request_id,
                 v,
-            }) => match version_gate(v) {
-                Some(err) => Action::Reply(Reply::Now(encode_frame(&err))),
-                None => self.key_action(&key, ops.as_deref().unwrap_or(&[])),
+            } => {
+                let ops = ops.as_deref().unwrap_or(&[]);
+                return self.submit(v, Target::Key { key, ops }, None, request_id.as_deref());
+            }
+            Request::Hello { v } => version_gate(Some(v)).unwrap_or(Response::HelloAck {
+                v: PROTOCOL_VERSION,
+            }),
+            Request::Gossip { entries, v } => {
+                version_gate(v).unwrap_or_else(|| Response::GossipAck {
+                    applied: service.absorb(&entries),
+                })
+            }
+            Request::Stats => Response::Stats {
+                stats: service.stats(),
+                metrics: service.metrics_json(),
             },
-            Ok(Request::Gossip { entries, v }) => match version_gate(v) {
-                Some(err) => Action::Reply(Reply::Now(encode_frame(&err))),
-                None => {
-                    let applied = self.shared.service.absorb(&entries);
-                    Action::Reply(Reply::Now(encode_frame(&Response::GossipAck { applied })))
-                }
-            },
-            Ok(Request::Stats) => Action::Reply(Reply::Now(encode_frame(&Response::Stats {
-                stats: self.shared.service.stats(),
-                metrics: self.shared.service.metrics_json(),
-            }))),
-            Ok(Request::Shutdown) => {
+            Request::Shutdown => {
                 self.shared.request_shutdown();
-                Action::ReplyShutdown(Reply::Now(encode_frame(&Response::Bye)))
+                Response::Bye
             }
-            Err(message) => Action::Reply(Reply::Now(encode_frame(&Response::Error {
-                code: crate::protocol::CODE_BAD_REQUEST,
-                message: format!("unparseable frame: {message}"),
-            }))),
-        }
+        };
+        Reply::Now(encode_frame(&response))
     }
 
     fn drain_fallback(&self) -> String {
@@ -224,18 +169,25 @@ impl FrameHandler for ServeHandler {
     }
 }
 
-/// Assembles the `Response::Schedule` envelope around a cache entry's
-/// pre-rendered payload bytes, byte-for-byte what
-/// `encode_frame(&Response::Schedule { .. })` would produce — pinned by
-/// differential tests so the splice can never drift from serde.
-fn spliced_schedule_frame(hit: &KeyHit) -> SplicedFrame {
-    SplicedFrame {
-        prefix: format!(
-            "{{\"Schedule\":{{\"key\":\"{}\",\"cached\":true,\"payload\":",
-            hit.key_hex
-        ),
-        payload: Arc::clone(&hit.wire),
-        suffix: "}}\n",
+/// Renders a schedule result answered at admission. A reply carrying
+/// its payload's wire form (a key-frame hit) is assembled around the
+/// cache entry's pre-rendered bytes — byte-for-byte what
+/// [`schedule_frame`] would produce, pinned by differential tests so
+/// the splice can never drift from serde; every other result is
+/// encoded by [`schedule_frame`].
+fn schedule_reply(result: Result<ScheduleReply, ServiceError>) -> Reply {
+    match result {
+        Ok(ScheduleReply {
+            key,
+            cached,
+            wire: Some(wire),
+            ..
+        }) => Reply::Spliced(SplicedFrame {
+            prefix: format!("{{\"Schedule\":{{\"key\":\"{key}\",\"cached\":{cached},\"payload\":"),
+            payload: wire,
+            suffix: "}}\n",
+        }),
+        result => Reply::Now(schedule_frame(result)),
     }
 }
 
@@ -335,264 +287,14 @@ impl Server {
     }
 }
 
-/// Why a [`TcpClient`] call failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ClientError {
-    /// Socket-level failure.
-    Io(String),
-    /// The server answered with a structured error frame.
-    Remote(ServiceError),
-    /// The server answered with an unexpected or unparseable frame.
-    Protocol(String),
-    /// The connection ended before a complete response arrived —
-    /// clean EOF with the request outstanding, or severed mid-frame.
-    /// Structured (and retryable via failover) rather than a raw io
-    /// error: the peer died, the request may be replayed elsewhere.
-    Disconnected(String),
-}
-
-impl std::fmt::Display for ClientError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ClientError::Io(m) => write!(f, "io error: {m}"),
-            ClientError::Remote(e) => write!(f, "server error: {e}"),
-            ClientError::Protocol(m) => write!(f, "protocol error: {m}"),
-            ClientError::Disconnected(m) => write!(f, "server disconnected: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for ClientError {}
-
-impl From<std::io::Error> for ClientError {
-    fn from(e: std::io::Error) -> Self {
-        ClientError::Io(e.to_string())
-    }
-}
-
-/// Decodes the reply to a schedule-producing request: a `Schedule` frame
-/// is the reply, an `Error` frame the service's structured error (the
-/// inner `Err`), and any other frame a protocol violation (the outer).
-fn schedule_reply(response: Response) -> Result<Result<ScheduleReply, ServiceError>, ClientError> {
-    match response {
-        Response::Schedule {
-            key,
-            cached,
-            payload,
-        } => Ok(Ok(ScheduleReply {
-            key,
-            cached,
-            payload: payload.into(),
-        })),
-        Response::Error { code, message } => Ok(Err(ServiceError { code, message })),
-        other => Err(ClientError::Protocol(format!(
-            "expected Schedule frame, got {other:?}"
-        ))),
-    }
-}
-
-/// A blocking JSON-lines client over one TCP connection.
-pub struct TcpClient {
-    reader: BufReader<TcpStream>,
-}
-
-impl TcpClient {
-    /// Connects to a running daemon.
-    pub fn connect(addr: &str) -> std::io::Result<TcpClient> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(TcpClient {
-            reader: BufReader::new(stream),
-        })
-    }
-
-    fn read_response(&mut self) -> Result<Response, ClientError> {
-        match read_frame::<Response, _>(&mut self.reader)? {
-            FrameRead::Frame(response) => Ok(response),
-            FrameRead::Malformed(m) => Err(ClientError::Protocol(m)),
-            FrameRead::Eof => Err(ClientError::Disconnected(
-                "connection closed before response".into(),
-            )),
-            FrameRead::SeveredMidFrame { partial_bytes } => {
-                Err(ClientError::Disconnected(format!(
-                    "connection severed mid-frame ({partial_bytes} bytes of a partial response)"
-                )))
-            }
-        }
-    }
-
-    fn round_trip(&mut self, request: &Request) -> Result<Response, ClientError> {
-        crate::protocol::write_frame(self.reader.get_mut(), request)?;
-        self.read_response()
-    }
-
-    /// Declares this client's protocol version; returns the server's.
-    /// A server that cannot serve us answers a structured 426 error.
-    pub fn hello(&mut self) -> Result<u32, ClientError> {
-        match self.round_trip(&Request::Hello {
-            v: PROTOCOL_VERSION,
-        })? {
-            Response::HelloAck { v } => Ok(v),
-            Response::Error { code, message } => {
-                Err(ClientError::Remote(ServiceError { code, message }))
-            }
-            other => Err(ClientError::Protocol(format!(
-                "expected HelloAck frame, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Schedules one job, optionally bounded by a server-side deadline.
-    pub fn schedule(
-        &mut self,
-        job: &JobSpec,
-        deadline_ms: Option<u64>,
-    ) -> Result<ScheduleReply, ClientError> {
-        self.schedule_with_id(job, deadline_ms, None)
-    }
-
-    /// [`schedule`](Self::schedule) carrying a client request id, so a
-    /// failover retry of this idempotent request can be deduplicated
-    /// server-side.
-    pub fn schedule_with_id(
-        &mut self,
-        job: &JobSpec,
-        deadline_ms: Option<u64>,
-        request_id: Option<&str>,
-    ) -> Result<ScheduleReply, ClientError> {
-        let request = Request::Schedule {
-            job: job.clone(),
-            deadline_ms,
-            request_id: request_id.map(String::from),
-            v: Some(PROTOCOL_VERSION),
-        };
-        schedule_reply(self.round_trip(&request)?)?.map_err(ClientError::Remote)
-    }
-
-    /// Schedules a **delta** job: `ops` applied to the scenario the
-    /// server already knows under the `base` content key. A server that
-    /// never saw the base answers a structured `404` whose message
-    /// starts with `base-miss` — the caller's cue to re-send the full
-    /// scenario.
-    pub fn schedule_delta(
-        &mut self,
-        base: &str,
-        ops: &[rfid_delta::ScenarioDelta],
-        deadline_ms: Option<u64>,
-        request_id: Option<&str>,
-    ) -> Result<ScheduleReply, ClientError> {
-        let request = Request::Delta {
-            base: base.to_string(),
-            ops: ops.to_vec(),
-            deadline_ms,
-            request_id: request_id.map(String::from),
-            v: Some(PROTOCOL_VERSION),
-        };
-        schedule_reply(self.round_trip(&request)?)?.map_err(ClientError::Remote)
-    }
-
-    /// Requests a schedule by **content key alone** (protocol v4): the
-    /// server answers from cache without touching the scenario codec.
-    /// Non-empty `ops` address the delta derived from `key` (cached on
-    /// the base key's node). A key the server does not hold answers a
-    /// structured `404` whose message starts with `key-miss` — the cue
-    /// to fall back to the full `Schedule`/`Delta` frame.
-    pub fn schedule_by_key(
-        &mut self,
-        key: &str,
-        ops: &[rfid_delta::ScenarioDelta],
-    ) -> Result<ScheduleReply, ClientError> {
-        let request = Request::Key {
-            key: key.to_string(),
-            ops: (!ops.is_empty()).then(|| ops.to_vec()),
-            request_id: None,
-            v: Some(PROTOCOL_VERSION),
-        };
-        schedule_reply(self.round_trip(&request)?)?.map_err(ClientError::Remote)
-    }
-
-    /// Pipelines a batch of schedule requests on this one connection:
-    /// all frames are written before any response is read, and the
-    /// server answers them strictly in request order (the reactor's
-    /// ordering guarantee). Per-request application errors come back as
-    /// inner `Err`s; a transport failure fails the whole batch.
-    pub fn schedule_batch(
-        &mut self,
-        jobs: &[JobSpec],
-        deadline_ms: Option<u64>,
-    ) -> Result<Vec<Result<ScheduleReply, ServiceError>>, ClientError> {
-        let mut batch = String::new();
-        for job in jobs {
-            batch.push_str(&encode_frame(&Request::Schedule {
-                job: job.clone(),
-                deadline_ms,
-                request_id: None,
-                v: Some(PROTOCOL_VERSION),
-            }));
-        }
-        {
-            use std::io::Write;
-            let w = self.reader.get_mut();
-            w.write_all(batch.as_bytes())?;
-            w.flush()?;
-        }
-        let mut replies = Vec::with_capacity(jobs.len());
-        for _ in jobs {
-            replies.push(schedule_reply(self.read_response()?)?);
-        }
-        Ok(replies)
-    }
-
-    /// Pushes cache entries to a peer daemon; returns how many the peer
-    /// newly applied. The replicator's delivery path.
-    pub fn gossip(&mut self, entries: &[GossipEntry]) -> Result<u64, ClientError> {
-        let request = Request::Gossip {
-            entries: entries.to_vec(),
-            v: Some(PROTOCOL_VERSION),
-        };
-        match self.round_trip(&request)? {
-            Response::GossipAck { applied } => Ok(applied),
-            Response::Error { code, message } => {
-                Err(ClientError::Remote(ServiceError { code, message }))
-            }
-            other => Err(ClientError::Protocol(format!(
-                "expected GossipAck frame, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Fetches service counters and the recorder's metrics snapshot.
-    pub fn stats(&mut self) -> Result<(ServiceStats, String), ClientError> {
-        match self.round_trip(&Request::Stats)? {
-            Response::Stats { stats, metrics } => Ok((stats, metrics)),
-            Response::Error { code, message } => {
-                Err(ClientError::Remote(ServiceError { code, message }))
-            }
-            other => Err(ClientError::Protocol(format!(
-                "expected Stats frame, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Asks the daemon to shut down gracefully; resolves once the server
-    /// acknowledges with `Bye`.
-    pub fn shutdown_server(&mut self) -> Result<(), ClientError> {
-        match self.round_trip(&Request::Shutdown)? {
-            Response::Bye => Ok(()),
-            other => Err(ClientError::Protocol(format!(
-                "expected Bye frame, got {other:?}"
-            ))),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::Workload;
-    use crate::protocol::CODE_UPGRADE_REQUIRED;
+    use crate::client::{ClientError, TcpClient};
+    use crate::codec::{JobSpec, Workload};
+    use crate::protocol::{GossipEntry, CODE_UPGRADE_REQUIRED};
     use rfid_model::{RadiusModel, Scenario, ScenarioKind};
-    use std::io::Write;
+    use std::io::{BufRead, BufReader, Write};
 
     fn small_job(seed: u64) -> JobSpec {
         JobSpec::new(Workload::Generated {
@@ -650,7 +352,7 @@ mod tests {
             request_id: None,
             v: Some(PROTOCOL_VERSION + 1),
         };
-        match client.round_trip(&request).unwrap() {
+        match client.forward(&encode_frame(&request)).unwrap() {
             Response::Error { code, .. } => assert_eq!(code, CODE_UPGRADE_REQUIRED),
             other => panic!("expected 426 error frame, got {other:?}"),
         }
@@ -666,10 +368,7 @@ mod tests {
         let mut client = TcpClient::connect(&addr).unwrap();
         let job_json = serde_json::to_string(&small_job(3)).unwrap();
         let line = format!(r#"{{"Schedule":{{"job":{job_json},"deadline_ms":null}}}}"#);
-        let w = client.reader.get_mut();
-        w.write_all(line.as_bytes()).unwrap();
-        w.write_all(b"\n").unwrap();
-        match client.read_response().unwrap() {
+        match client.forward(&format!("{line}\n")).unwrap() {
             Response::Schedule { cached, .. } => assert!(!cached),
             other => panic!("expected Schedule frame, got {other:?}"),
         }
@@ -716,9 +415,8 @@ mod tests {
         let addr = server.addr().to_string();
         let mut client = TcpClient::connect(&addr).unwrap();
         // Hand-inject garbage, then a valid request on the same socket.
-        writeln!(client.reader.get_mut(), "this is not json").unwrap();
-        match read_frame::<Response, _>(&mut client.reader).unwrap() {
-            FrameRead::Frame(Response::Error { code, .. }) => {
+        match client.forward("this is not json\n").unwrap() {
+            Response::Error { code, .. } => {
                 assert_eq!(code, crate::protocol::CODE_BAD_REQUEST)
             }
             other => panic!("expected error frame, got {other:?}"),
@@ -894,19 +592,18 @@ mod tests {
         let cold = client.schedule(&small_job(31), None).unwrap();
 
         // Raw wire bytes: the warm full-frame reply (serde-rendered)...
+        let mut raw = BufReader::new(std::net::TcpStream::connect(&addr).unwrap());
         let full = Request::Schedule {
             job: small_job(31),
             deadline_ms: None,
             request_id: None,
             v: Some(PROTOCOL_VERSION),
         };
-        client
-            .reader
-            .get_mut()
+        raw.get_mut()
             .write_all(encode_frame(&full).as_bytes())
             .unwrap();
         let mut full_line = String::new();
-        std::io::BufRead::read_line(&mut client.reader, &mut full_line).unwrap();
+        raw.read_line(&mut full_line).unwrap();
 
         // ...and the spliced key-frame reply must be identical bytes.
         let key_req = Request::Key {
@@ -915,13 +612,11 @@ mod tests {
             request_id: None,
             v: Some(PROTOCOL_VERSION),
         };
-        client
-            .reader
-            .get_mut()
+        raw.get_mut()
             .write_all(encode_frame(&key_req).as_bytes())
             .unwrap();
         let mut key_line = String::new();
-        std::io::BufRead::read_line(&mut client.reader, &mut key_line).unwrap();
+        raw.read_line(&mut key_line).unwrap();
         assert_eq!(full_line, key_line);
 
         let hit = client.schedule_by_key(&cold.key, &[]).unwrap();

@@ -1,8 +1,10 @@
 //! The scheduling service: cache in front of a bounded worker pool.
 //!
-//! Request path (DESIGN.md §9): canonicalise ([`crate::codec`]) → look
-//! up the content key in the [`ScheduleCache`] → on miss, admit into the
-//! bounded [`WorkQueue`] (full → structured `429`) → a worker resolves
+//! Request path (DESIGN.md §9): every full, delta and key request is one
+//! [`Target`] into [`Service::submit`] → resolve it to the content key
+//! its answer is cached under (canonicalising a job once, via
+//! [`crate::codec`]) → probe the [`ScheduleCache`] → on miss, admit into
+//! the bounded [`WorkQueue`] (full → structured `429`) → a worker resolves
 //! the algorithm through [`SchedulerRegistry`], runs
 //! [`covering_schedule_with`] with the server's [`Recorder`] attached,
 //! renders the [`ScheduleOutcome`] as canonical JSON, publishes it to
@@ -147,6 +149,11 @@ pub struct ScheduleReply {
     pub cached: bool,
     /// Canonical JSON of a [`ScheduleOutcome`].
     pub payload: Arc<str>,
+    /// `payload` pre-escaped as a JSON string literal, rendered once per
+    /// cache entry (see [`ScheduleCache::probe_wire`]). Only a key-frame
+    /// hit carries it: the transport splices these bytes into the reply
+    /// envelope without re-serialising anything.
+    pub wire: Option<Arc<str>>,
 }
 
 impl ScheduleReply {
@@ -156,32 +163,31 @@ impl ScheduleReply {
     }
 }
 
-/// A request-by-key cache hit: the payload plus its pre-rendered wire
-/// form (the payload as a JSON string literal) so the transport can
-/// splice the reply envelope together without re-serialising anything.
-#[derive(Debug, Clone)]
-pub struct KeyHit {
-    /// The content key the payload is cached under (the derived key
-    /// when the request carried ops), fixed-width hex.
-    pub key_hex: String,
-    /// Canonical JSON of a [`ScheduleOutcome`] — the same bytes a full
-    /// submission returns.
-    pub payload: Arc<str>,
-    /// `payload` pre-escaped as a JSON string literal, rendered once
-    /// per cache entry (see [`ScheduleCache::probe_wire`]).
-    pub wire: Arc<str>,
-}
-
-impl KeyHit {
-    /// The reply as the transport-agnostic [`ScheduleReply`] (key hits
-    /// are by definition cached).
-    pub fn into_reply(self) -> ScheduleReply {
-        ScheduleReply {
-            key: self.key_hex,
-            cached: true,
-            payload: self.payload,
-        }
-    }
+/// What a schedule-producing request asks for. Every target resolves to
+/// the content key its answer is cached under, which is also the key
+/// the reply is addressed by.
+#[derive(Debug, Clone, Copy)]
+pub enum Target<'a> {
+    /// A full job (`Schedule` frame), cached under its canonical key.
+    Job(&'a JobSpec),
+    /// A cached schedule by content key alone (protocol v4 `Key`
+    /// frame): `key` itself, or with `ops` the [`derived_key`] of
+    /// `(key, ops)`. Never solved: a miss is a counter-quiet `key-miss`.
+    Key {
+        /// Content key, fixed-width hex.
+        key: &'a str,
+        /// Delta ops whose derivation to look up; empty for `key` itself.
+        ops: &'a [ScenarioDelta],
+    },
+    /// `ops` applied to the resident scenario `base` (protocol v3
+    /// `Delta` frame), cached under the [`derived_key`] of `(base, ops)`
+    /// and solved like the patched scenario sent in full.
+    Delta {
+        /// Content key of the base scenario, fixed-width hex.
+        base: &'a str,
+        /// The edits to apply, in order.
+        ops: &'a [ScenarioDelta],
+    },
 }
 
 /// Service construction parameters (the CLI's `serve` flags).
@@ -224,7 +230,7 @@ impl Default for ServeConfig {
 
 type JobResult = Result<ScheduleReply, ServiceError>;
 
-/// What [`Service::submit_with_id`] decided without blocking.
+/// What [`Service::submit`] decided without blocking.
 pub enum Submission {
     /// Answered synchronously: a cache hit, or a structured admission
     /// error (bad request, 404, 429, 503).
@@ -237,23 +243,32 @@ pub enum Submission {
     Queued(Arc<ResponseSlot<JobResult>>),
 }
 
+/// One request waiting on a solve: its slot, and the key its reply is
+/// addressed by — the solved job's own key, or a delta's derived key.
+#[derive(Clone)]
+struct Waiter {
+    slot: Arc<ResponseSlot<JobResult>>,
+    alias: u64,
+}
+
 struct Job {
     /// Content key of `spec`.
     key: u64,
     /// The canonical spec, shared with the delta-base store.
     spec: Arc<JobSpec>,
-    slot: Arc<ResponseSlot<JobResult>>,
+    /// The request that enqueued the job.
+    leader: Waiter,
 }
 
 struct Inner {
     registry: SchedulerRegistry,
     cache: ScheduleCache,
     queue: WorkQueue<Job>,
-    /// Single-flight table: content key → every [`ResponseSlot`] waiting
-    /// on the in-flight solve of that key (index 0 is the leader that
-    /// enqueued the job). Only populated while the cache is enabled —
-    /// with caching off, every request is an independent solve.
-    inflight: Mutex<HashMap<u64, Vec<Arc<ResponseSlot<JobResult>>>>>,
+    /// Single-flight table: content key → every [`Waiter`] on the
+    /// in-flight solve of that key (index 0 is the leader that enqueued
+    /// the job). Only populated while the cache is enabled — with
+    /// caching off, every request is an independent solve.
+    inflight: Mutex<HashMap<u64, Vec<Waiter>>>,
     recorder: Recorder,
     shutting_down: AtomicBool,
     workers: usize,
@@ -289,7 +304,7 @@ impl Inner {
     /// Journals and gossips one freshly published payload. Both paths
     /// are best-effort and counter-backed; neither touches the request
     /// accounting.
-    fn publish_durable(&self, key: u64, key_hex: &str, payload: &str) {
+    fn publish_durable(&self, key: u64, payload: &str) {
         let sub: Option<&dyn Subscriber> = Some(&self.recorder);
         if let Some(durable) = &self.durable {
             if durable.persist(key, payload, &|| self.cache.entries()) {
@@ -300,9 +315,30 @@ impl Inner {
         }
         let repl = self.replicator.lock().expect("replicator poisoned");
         if let Some(repl) = repl.as_ref() {
-            repl.offer(key_hex, payload);
+            repl.offer(&key_hex(key), payload);
             counter!(sub, "serve.replicate.out");
         }
+    }
+
+    /// Makes a payload solved under `key` findable under a waiter's
+    /// `alias` (a delta's derived key) too, by caching it there unless
+    /// an entry exists. Returns whether the caller must journal and
+    /// gossip the alias: only for a new entry, so coalesced deltas
+    /// publish it once, and always with caching off, where there is
+    /// nothing to check. Callers hold the single-flight lock, so
+    /// concurrent requests cannot both insert one alias.
+    fn cache_alias(&self, key: u64, alias: u64, payload: &Arc<str>) -> bool {
+        if alias == key {
+            return false;
+        }
+        if !self.cache.is_enabled() {
+            return true;
+        }
+        if self.cache.contains(alias) {
+            return false;
+        }
+        self.cache.insert(alias, Arc::clone(payload));
+        true
     }
 
     /// Registers a canonical spec as a delta base under `key`.
@@ -413,25 +449,33 @@ impl Service {
     /// (bad request, unknown algorithm, queue full, shutting down,
     /// deadline expired, solver stall, worker panic).
     pub fn schedule(&self, spec: &JobSpec, deadline: Option<Duration>) -> JobResult {
-        self.schedule_with_id(spec, deadline, None)
+        self.request(Target::Job(spec), deadline, None)
     }
 
-    /// [`schedule`](Self::schedule) with an optional client request id.
-    /// A repeated id (a failover retry of an idempotent request) is
-    /// served normally — content addressing already guarantees the same
-    /// bytes — but counted as a dedup instead of fresh demand.
-    pub fn schedule_with_id(
+    /// [`submit`](Self::submit) of a full job.
+    pub fn submit_with_id(&self, spec: &JobSpec, request_id: Option<&str>) -> Submission {
+        self.submit(Target::Job(spec), request_id)
+    }
+
+    /// [`request`](Self::request) of a cached schedule by content key
+    /// alone; see [`Target::Key`].
+    pub fn request_by_key(&self, key: &str, ops: &[ScenarioDelta]) -> JobResult {
+        self.request(Target::Key { key, ops }, None, None)
+    }
+
+    /// [`submit`](Self::submit), then wait up to `deadline` for a queued
+    /// result.
+    pub fn request(
         &self,
-        spec: &JobSpec,
+        target: Target<'_>,
         deadline: Option<Duration>,
         request_id: Option<&str>,
     ) -> JobResult {
-        match self.submit_with_id(spec, request_id) {
+        match self.submit(target, request_id) {
             Submission::Ready(result) => result,
-            Submission::Queued(slot) => match slot.wait(deadline) {
-                Some(result) => result,
-                None => Err(self.deadline_expired(&format!("{deadline:?}"))),
-            },
+            Submission::Queued(slot) => slot
+                .wait(deadline)
+                .unwrap_or_else(|| Err(self.deadline_expired(&format!("{deadline:?}")))),
         }
     }
 
@@ -446,26 +490,172 @@ impl Service {
         ServiceError::new(CODE_DEADLINE, format!("deadline expired after {waited}"))
     }
 
-    /// The non-blocking half of [`schedule_with_id`](Self::schedule_with_id):
-    /// canonicalises the job, then runs admission (dedup, cache probe,
-    /// single-flight, queueing) and returns without waiting. A cache hit
-    /// or admission error is [`Submission::Ready`]; queued leaders and
-    /// coalesced followers get [`Submission::Queued`] with the slot the
-    /// worker will fulfill. This is the entry point the event-driven
-    /// server uses — the reactor polls the slot instead of parking a
-    /// thread on it.
-    pub fn submit_with_id(&self, spec: &JobSpec, request_id: Option<&str>) -> Submission {
-        let inner = &self.inner;
+    /// Admits one schedule-producing request without blocking — the
+    /// entry point of every full, delta and key frame.
+    ///
+    /// The target resolves to the content key its answer is cached
+    /// under, and one probe of that key answers every hit, counted as
+    /// one request plus one hit. On a miss a key target answers a
+    /// counter-quiet `404` key-miss (the client falls back to the full
+    /// frame, and *that* submission does the request accounting); a job
+    /// or delta is admitted by its canonical key — cache, coalescing,
+    /// queue and all — with a delta's reply addressed by its derived
+    /// key. A hit or admission error is [`Submission::Ready`]; queued
+    /// leaders and coalesced followers get [`Submission::Queued`] with
+    /// the slot the worker will fulfil. A repeated `request_id` (a
+    /// failover retry of an idempotent request) is served normally but
+    /// counted as a dedup instead of fresh demand.
+    pub fn submit(&self, target: Target<'_>, request_id: Option<&str>) -> Submission {
         self.note_retry(request_id);
-        match CanonicalJob::new(spec, &inner.registry) {
-            Ok(CanonicalJob { spec, key, .. }) => {
-                self.admit(key, request_id, move || Arc::new(spec))
+        match target {
+            Target::Job(spec) => match CanonicalJob::new(spec, &self.inner.registry) {
+                Ok(CanonicalJob { spec, key, .. }) => self
+                    .probe(key, false)
+                    .unwrap_or_else(|| self.admit(key, key, request_id, move || Arc::new(spec))),
+                Err(e) => self.fail(ServiceError::from(e)),
+            },
+            Target::Key { key, ops } => {
+                let Some(base) = parse_key_hex(key) else {
+                    return self.fail(ServiceError::new(
+                        CODE_BAD_REQUEST,
+                        format!("malformed key {key:?}: expected 16 hex digits"),
+                    ));
+                };
+                let address = if ops.is_empty() {
+                    base
+                } else {
+                    derived_key(base, ops)
+                };
+                self.probe(address, true).unwrap_or_else(|| {
+                    let sub: Option<&dyn Subscriber> = Some(&self.inner.recorder);
+                    counter!(sub, "serve.key.miss");
+                    self.fail(ServiceError::new(
+                        CODE_KEY_MISS,
+                        format!(
+                            "key-miss: schedule {} is not cached on this node; send the full frame",
+                            key_hex(address)
+                        ),
+                    ))
+                })
             }
-            Err(e) => {
-                inner.errors.fetch_add(1, Ordering::Relaxed);
-                Submission::Ready(Err(ServiceError::from(e)))
+            Target::Delta { base, ops } => {
+                let sub: Option<&dyn Subscriber> = Some(&self.inner.recorder);
+                counter!(sub, "serve.delta.request");
+                let Some(base_key) = parse_key_hex(base) else {
+                    return self.fail(ServiceError::new(
+                        CODE_BAD_REQUEST,
+                        format!("malformed base key {base:?}: expected 16 hex digits"),
+                    ));
+                };
+                let derived = derived_key(base_key, ops);
+                self.probe(derived, false)
+                    .unwrap_or_else(|| self.admit_delta(base, base_key, derived, ops, request_id))
             }
         }
+    }
+
+    /// The one cache probe: a live entry at `address` answers the
+    /// request, counted as one request plus one hit. A miss is
+    /// counter-quiet — admission counts it, or it never becomes a
+    /// request. `wire` asks for the entry's pre-rendered wire form too.
+    fn probe(&self, address: u64, wire: bool) -> Option<Submission> {
+        let inner = &self.inner;
+        let (payload, wire) = if wire {
+            let (payload, wire) = inner.cache.probe_wire(address)?;
+            (payload, Some(wire))
+        } else {
+            (inner.cache.probe(address)?, None)
+        };
+        let sub: Option<&dyn Subscriber> = Some(&inner.recorder);
+        inner.requests.fetch_add(1, Ordering::Relaxed);
+        counter!(sub, "serve.request");
+        counter!(sub, "serve.cache.hit");
+        if wire.is_some() {
+            counter!(sub, "serve.key.hit");
+        }
+        Some(Submission::Ready(Ok(ScheduleReply {
+            key: key_hex(address),
+            cached: true,
+            payload,
+            wire,
+        })))
+    }
+
+    /// Counts an error answered without admission.
+    fn fail(&self, err: ServiceError) -> Submission {
+        self.inner.errors.fetch_add(1, Ordering::Relaxed);
+        Submission::Ready(Err(err))
+    }
+
+    /// The miss path of a delta: resolves the base spec (structured
+    /// `404` base-miss when this node has never seen it), applies the
+    /// ops, canonicalises once, stores the patched spec under the
+    /// derived key (the base that chained deltas index into) and admits
+    /// it by canonical key, answered under the derived key.
+    fn admit_delta(
+        &self,
+        base: &str,
+        base_key: u64,
+        derived: u64,
+        ops: &[ScenarioDelta],
+        request_id: Option<&str>,
+    ) -> Submission {
+        let inner = &self.inner;
+        let spec = {
+            let specs = inner.specs.lock().expect("specs poisoned");
+            specs.get(&base_key).cloned()
+        };
+        let Some(spec) = spec else {
+            let sub: Option<&dyn Subscriber> = Some(&inner.recorder);
+            counter!(sub, "serve.delta.base_miss");
+            return self.fail(ServiceError::new(
+                CODE_BASE_MISS,
+                format!(
+                    "base-miss: scenario {base} is not resident on this node; \
+                     send the full scenario"
+                ),
+            ));
+        };
+        // Ops index tags and readers in the *canonical* base deployment
+        // (the form the base's own reply was computed from): patch the
+        // stored one in place of a copy, or generate a `Generated` base.
+        let generated: Deployment;
+        let base_deployment = match &spec.workload {
+            Workload::Generated { scenario, seed } => {
+                generated = scenario.generate(*seed);
+                &generated
+            }
+            Workload::Explicit { deployment } => deployment,
+        };
+        let patched = match apply_ops(base_deployment, ops) {
+            Ok(patched) => patched,
+            Err(e) => {
+                return self.fail(ServiceError::new(
+                    CODE_BAD_REQUEST,
+                    format!("invalid delta: {e}"),
+                ))
+            }
+        };
+        let patched_spec = JobSpec {
+            workload: Workload::Explicit {
+                deployment: patched.deployment,
+            },
+            algorithm: spec.algorithm.clone(),
+            algo_seed: spec.algo_seed,
+            resilient: spec.resilient,
+            max_slots: spec.max_slots,
+        };
+        // Canonicalise once: the canonical patched spec is both the base
+        // that *chained* deltas index into (stored under the derived key)
+        // and the job admission keys on — one shared copy for both.
+        let CanonicalJob { spec, key, .. } = match CanonicalJob::new(&patched_spec, &inner.registry)
+        {
+            Ok(canonical) => canonical,
+            Err(e) => return self.fail(ServiceError::from(e)),
+        };
+        let spec = Arc::new(spec);
+        inner.store_spec(derived, &spec);
+        self.admit(key, derived, request_id, move || spec)
     }
 
     /// Failover-dedup *check* only — a `&str` set lookup, no clone.
@@ -485,15 +675,20 @@ impl Service {
         }
     }
 
-    /// Admission of one canonical job by content key: count the request,
-    /// then hit, coalesce or lead (enqueue). Every canonicalised request,
-    /// full or delta, is counted here and nowhere else, and counts one
-    /// hit, miss or coalesce. `spec` yields the canonical spec and runs
-    /// only when the job is admitted (coalesced or enqueued), never on a
-    /// hit.
+    /// Admission of one canonical job by content key `key`, answered
+    /// under `alias` (a delta's derived key, else `key` itself): count
+    /// the request, then coalesce, hit or lead (enqueue), decided under
+    /// the single-flight lock so exactly one solve of each key is in
+    /// flight. A worker publishes to the cache *before* it drains the
+    /// key's entry, both under this lock, so a request that finds no
+    /// entry and misses the cache is a genuine leader. With caching off
+    /// no entry is ever made and every request leads. `spec` yields the
+    /// canonical spec and runs, like the slot allocation, only when the
+    /// job is admitted, never on a hit.
     fn admit(
         &self,
         key: u64,
+        alias: u64,
         request_id: Option<&str>,
         spec: impl FnOnce() -> Arc<JobSpec>,
     ) -> Submission {
@@ -501,119 +696,60 @@ impl Service {
         let sub: Option<&dyn Subscriber> = Some(&inner.recorder);
         inner.requests.fetch_add(1, Ordering::Relaxed);
         counter!(sub, "serve.request");
-        let shutting_down = || {
-            inner.rejected_shutdown.fetch_add(1, Ordering::Relaxed);
-            ServiceError::new(CODE_SHUTTING_DOWN, "service is shutting down")
-        };
-        let slot = Arc::new(ResponseSlot::new());
-        if inner.cache.is_enabled() {
-            // Hit, coalesce or lead — decided under the single-flight
-            // lock, so exactly one solve of each key can be in flight:
-            // a worker publishes to the cache *before* it drains the
-            // entry (both under this lock), hence a request that finds
-            // no entry and misses the cache is a genuine leader.
-            let mut inflight = inner.inflight.lock().expect("inflight poisoned");
-            if let Some(waiters) = inflight.get_mut(&key) {
-                waiters.push(Arc::clone(&slot));
-                inner.coalesced.fetch_add(1, Ordering::Relaxed);
-                counter!(sub, "serve.coalesced");
-                drop(inflight);
-                note_admitted(inner, sub, request_id, key, &spec());
-            } else if let Some(payload) = inner.cache.get(key) {
-                counter!(sub, "serve.cache.hit");
-                return Submission::Ready(Ok(ScheduleReply {
-                    key: key_hex(key),
-                    cached: true,
-                    payload,
-                }));
-            } else {
-                counter!(sub, "serve.cache.miss");
-                if inner.shutting_down.load(Ordering::SeqCst) {
-                    return Submission::Ready(Err(shutting_down()));
-                }
-                let spec = spec();
-                note_admitted(inner, sub, request_id, key, &spec);
-                let job = Job {
-                    key,
-                    spec,
-                    slot: Arc::clone(&slot),
-                };
-                match inner.queue.try_push(job) {
-                    Ok(()) => {
-                        inflight.insert(key, vec![Arc::clone(&slot)]);
-                    }
-                    Err(e) => return Submission::Ready(Err(self.reject(e))),
-                }
-            }
-        } else {
-            // Caching disabled: every request is an independent solve
-            // (the cache still counts the forced miss).
-            let _ = inner.cache.get(key);
-            counter!(sub, "serve.cache.miss");
-            if inner.shutting_down.load(Ordering::SeqCst) {
-                return Submission::Ready(Err(shutting_down()));
-            }
-            let spec = spec();
-            note_admitted(inner, sub, request_id, key, &spec);
-            let job = Job {
-                key,
-                spec,
+        let mut inflight = inner.inflight.lock().expect("inflight poisoned");
+        if let Some(waiters) = inflight.get_mut(&key) {
+            let slot = Arc::new(ResponseSlot::new());
+            waiters.push(Waiter {
                 slot: Arc::clone(&slot),
-            };
-            if let Err(e) = inner.queue.try_push(job) {
-                return Submission::Ready(Err(self.reject(e)));
+                alias,
+            });
+            inner.coalesced.fetch_add(1, Ordering::Relaxed);
+            counter!(sub, "serve.coalesced");
+            drop(inflight);
+            note_admitted(inner, sub, request_id, key, &spec());
+            return Submission::Queued(slot);
+        }
+        if let Some(payload) = inner.cache.get(key) {
+            counter!(sub, "serve.cache.hit");
+            let publish = inner.cache_alias(key, alias, &payload);
+            drop(inflight);
+            if publish {
+                inner.publish_durable(alias, &payload);
             }
+            return Submission::Ready(Ok(ScheduleReply {
+                key: key_hex(alias),
+                cached: true,
+                payload,
+                wire: None,
+            }));
+        }
+        counter!(sub, "serve.cache.miss");
+        if inner.shutting_down.load(Ordering::SeqCst) {
+            inner.rejected_shutdown.fetch_add(1, Ordering::Relaxed);
+            return Submission::Ready(Err(ServiceError::new(
+                CODE_SHUTTING_DOWN,
+                "service is shutting down",
+            )));
+        }
+        let spec = spec();
+        note_admitted(inner, sub, request_id, key, &spec);
+        let leader = Waiter {
+            slot: Arc::new(ResponseSlot::new()),
+            alias,
+        };
+        let slot = Arc::clone(&leader.slot);
+        let job = Job {
+            key,
+            spec,
+            leader: leader.clone(),
+        };
+        if let Err(e) = inner.queue.try_push(job) {
+            return Submission::Ready(Err(self.reject(e)));
+        }
+        if inner.cache.is_enabled() {
+            inflight.insert(key, vec![leader]);
         }
         Submission::Queued(slot)
-    }
-
-    /// The protocol-v4 **request-by-key** fast path: answer an
-    /// already-cached schedule addressed by content key alone — no
-    /// scenario parse, no canonicalisation, no re-render. With `ops`,
-    /// the probe targets [`derived_key`]`(key, ops)`, the warm path for
-    /// a previously solved delta.
-    ///
-    /// A hit counts as a normal request + cache hit (so
-    /// `hits + misses + coalesced == requests` keeps holding); a miss is
-    /// a **counter-quiet** probe answered with a structured
-    /// [`CODE_KEY_MISS`] error whose message starts with `key-miss` —
-    /// the client falls back to the full frame, and *that* submission
-    /// does the request accounting.
-    pub fn request_by_key(&self, key: &str, ops: &[ScenarioDelta]) -> Result<KeyHit, ServiceError> {
-        let inner = &self.inner;
-        let sub: Option<&dyn Subscriber> = Some(&inner.recorder);
-        let Some(base) = parse_key_hex(key) else {
-            inner.errors.fetch_add(1, Ordering::Relaxed);
-            return Err(ServiceError::new(
-                CODE_BAD_REQUEST,
-                format!("malformed key {key:?}: expected 16 hex digits"),
-            ));
-        };
-        let target = if ops.is_empty() {
-            base
-        } else {
-            derived_key(base, ops)
-        };
-        if let Some((payload, wire)) = inner.cache.probe_wire(target) {
-            inner.requests.fetch_add(1, Ordering::Relaxed);
-            counter!(sub, "serve.request");
-            counter!(sub, "serve.cache.hit");
-            counter!(sub, "serve.key.hit");
-            return Ok(KeyHit {
-                key_hex: key_hex(target),
-                payload,
-                wire,
-            });
-        }
-        inner.errors.fetch_add(1, Ordering::Relaxed);
-        counter!(sub, "serve.key.miss");
-        Err(ServiceError::new(
-            CODE_KEY_MISS,
-            format!(
-                "key-miss: schedule {} is not cached on this node; send the full frame",
-                key_hex(target)
-            ),
-        ))
     }
 
     /// Maps a queue-admission failure to its structured error.
@@ -637,162 +773,6 @@ impl Service {
                 ServiceError::new(CODE_SHUTTING_DOWN, "service is shutting down")
             }
         }
-    }
-
-    /// Schedules a **delta** job: `ops` applied to the already-seen base
-    /// scenario addressed by `base` (fixed-width hex content key),
-    /// blocking up to `deadline`. The reply is addressed by the
-    /// [`derived_key`] of `(base, ops)` and is byte-identical to sending
-    /// the patched scenario as a full request.
-    pub fn schedule_delta(
-        &self,
-        base: &str,
-        ops: &[ScenarioDelta],
-        deadline: Option<Duration>,
-        request_id: Option<&str>,
-    ) -> JobResult {
-        let (derived, submission) = self.submit_delta(base, ops, request_id);
-        let result = match submission {
-            Submission::Ready(result) => result,
-            Submission::Queued(slot) => match slot.wait(deadline) {
-                Some(result) => result,
-                None => Err(self.deadline_expired(&format!("{deadline:?}"))),
-            },
-        };
-        self.finish_delta(derived, result)
-    }
-
-    /// The non-blocking half of [`schedule_delta`](Self::schedule_delta):
-    /// resolves the base spec (structured `404` "base-miss" when this
-    /// node has never seen it), applies the ops, and admits the patched
-    /// scenario through the normal submission path — cache, coalescing,
-    /// queue and all. Returns the derived key alongside the submission;
-    /// the caller must pass the eventual result through
-    /// [`finish_delta`](Self::finish_delta) to alias the payload under
-    /// that key.
-    pub fn submit_delta(
-        &self,
-        base: &str,
-        ops: &[ScenarioDelta],
-        request_id: Option<&str>,
-    ) -> (u64, Submission) {
-        let inner = &self.inner;
-        let sub: Option<&dyn Subscriber> = Some(&inner.recorder);
-        counter!(sub, "serve.delta.request");
-        let Some(base_key) = parse_key_hex(base) else {
-            inner.errors.fetch_add(1, Ordering::Relaxed);
-            return (
-                0,
-                Submission::Ready(Err(ServiceError::new(
-                    CODE_BAD_REQUEST,
-                    format!("malformed base key {base:?}: expected 16 hex digits"),
-                ))),
-            );
-        };
-        let derived = derived_key(base_key, ops);
-        // Fast path: the derived scenario was already solved here (or a
-        // previous delta aliased it) — answer straight from the cache.
-        // The probe counts only a hit: on a miss, admission below counts
-        // this request's one miss (or it never becomes a request at all).
-        if let Some(payload) = inner.cache.probe(derived) {
-            inner.requests.fetch_add(1, Ordering::Relaxed);
-            counter!(sub, "serve.request");
-            counter!(sub, "serve.cache.hit");
-            return (
-                derived,
-                Submission::Ready(Ok(ScheduleReply {
-                    key: key_hex(derived),
-                    cached: true,
-                    payload,
-                })),
-            );
-        }
-        let spec = {
-            let specs = inner.specs.lock().expect("specs poisoned");
-            specs.get(&base_key).cloned()
-        };
-        let Some(spec) = spec else {
-            inner.errors.fetch_add(1, Ordering::Relaxed);
-            counter!(sub, "serve.delta.base_miss");
-            return (
-                derived,
-                Submission::Ready(Err(ServiceError::new(
-                    CODE_BASE_MISS,
-                    format!(
-                        "base-miss: scenario {base} is not resident on this node; \
-                         send the full scenario"
-                    ),
-                ))),
-            );
-        };
-        // Ops index tags and readers in the *canonical* base deployment
-        // (the form the base's own reply was computed from): patch the
-        // stored one in place of a copy, or generate a `Generated` base.
-        let generated: Deployment;
-        let base_deployment = match &spec.workload {
-            Workload::Generated { scenario, seed } => {
-                generated = scenario.generate(*seed);
-                &generated
-            }
-            Workload::Explicit { deployment } => deployment,
-        };
-        let patched = match apply_ops(base_deployment, ops) {
-            Ok(patched) => patched,
-            Err(e) => {
-                inner.errors.fetch_add(1, Ordering::Relaxed);
-                return (
-                    derived,
-                    Submission::Ready(Err(ServiceError::new(
-                        CODE_BAD_REQUEST,
-                        format!("invalid delta: {e}"),
-                    ))),
-                );
-            }
-        };
-        let patched_spec = JobSpec {
-            workload: Workload::Explicit {
-                deployment: patched.deployment,
-            },
-            algorithm: spec.algorithm.clone(),
-            algo_seed: spec.algo_seed,
-            resilient: spec.resilient,
-            max_slots: spec.max_slots,
-        };
-        // Canonicalise once: the canonical patched spec is both the base
-        // that *chained* deltas index into (stored under the derived key)
-        // and the job admission keys on — one shared copy for both.
-        let CanonicalJob { spec, key, .. } = match CanonicalJob::new(&patched_spec, &inner.registry)
-        {
-            Ok(canonical) => canonical,
-            Err(e) => {
-                inner.errors.fetch_add(1, Ordering::Relaxed);
-                return (derived, Submission::Ready(Err(ServiceError::from(e))));
-            }
-        };
-        let spec = Arc::new(spec);
-        inner.store_spec(derived, &spec);
-        self.note_retry(request_id);
-        (derived, self.admit(key, request_id, move || spec))
-    }
-
-    /// Completes a delta request: aliases a successful payload under the
-    /// derived key (cache + journal + gossip, exactly like a full
-    /// solve) and re-addresses the reply to it. Errors pass through.
-    pub fn finish_delta(&self, derived: u64, result: JobResult) -> JobResult {
-        let reply = result?;
-        let inner = &self.inner;
-        let derived_hex = key_hex(derived);
-        if reply.key != derived_hex {
-            if inner.cache.is_enabled() && !inner.cache.contains(derived) {
-                inner.cache.insert(derived, Arc::clone(&reply.payload));
-            }
-            inner.publish_durable(derived, &derived_hex, &reply.payload);
-        }
-        Ok(ScheduleReply {
-            key: derived_hex,
-            cached: reply.cached,
-            payload: reply.payload,
-        })
     }
 
     /// Applies gossiped cache entries from a peer: parse the hex key,
@@ -891,16 +871,10 @@ impl Service {
                     .inflight
                     .lock()
                     .expect("inflight poisoned")
-                    .remove(&job.key);
-                match waiters {
-                    Some(waiters) => {
-                        for w in waiters {
-                            w.fulfill(Err(err.clone()));
-                        }
-                    }
-                    None => {
-                        job.slot.fulfill(Err(err));
-                    }
+                    .remove(&job.key)
+                    .unwrap_or_else(|| vec![job.leader]);
+                for w in waiters {
+                    w.slot.fulfill(Err(err.clone()));
                 }
             }
         }
@@ -951,8 +925,8 @@ fn worker_loop(inner: &Inner) {
             // the job sat queued — no point burning a worker on ghosts.
             let mut inflight = inner.inflight.lock().expect("inflight poisoned");
             let all_abandoned = match inflight.get(&key) {
-                Some(waiters) => waiters.iter().all(|w| w.is_abandoned()),
-                None => job.slot.is_abandoned(),
+                Some(waiters) => waiters.iter().all(|w| w.slot.is_abandoned()),
+                None => job.leader.slot.is_abandoned(),
             };
             if all_abandoned {
                 inflight.remove(&key);
@@ -961,8 +935,8 @@ fn worker_loop(inner: &Inner) {
             }
         }
         let sub: Option<&dyn Subscriber> = Some(&inner.recorder);
-        let result = catch_unwind(AssertUnwindSafe(|| solve(inner, key, &job.spec)))
-            .unwrap_or_else(|panic| {
+        let result =
+            catch_unwind(AssertUnwindSafe(|| solve(inner, &job.spec))).unwrap_or_else(|panic| {
                 Err(ServiceError::new(
                     CODE_INTERNAL,
                     format!("worker panicked: {}", panic_message(&panic)),
@@ -978,41 +952,44 @@ fn worker_loop(inner: &Inner) {
                 counter!(sub, "serve.solve.error");
             }
         }
-        // Publish to the cache, then drain the single-flight entry —
-        // in that order and both before any follower can re-enter the
-        // leader path (see `Service::schedule`).
-        let waiters = {
+        // Publish to the cache (the key, then each new alias), then
+        // drain the single-flight entry — in that order and both before
+        // any follower can re-enter the leader path (see `admit`).
+        let (waiters, aliases) = {
             let mut inflight = inner.inflight.lock().expect("inflight poisoned");
-            if let Ok(reply) = &result {
-                let evicted = inner.cache.insert(key, Arc::clone(&reply.payload));
+            let waiters = inflight.remove(&key).unwrap_or_else(|| vec![job.leader]);
+            let mut aliases = Vec::new();
+            if let Ok(payload) = &result {
+                let evicted = inner.cache.insert(key, Arc::clone(payload));
                 counter!(sub, "serve.cache.evicted", evicted as u64);
+                for w in &waiters {
+                    if inner.cache_alias(key, w.alias, payload) {
+                        aliases.push(w.alias);
+                    }
+                }
             }
-            inflight.remove(&key)
+            (waiters, aliases)
         };
         // Journal + gossip outside the single-flight lock: disk and
         // network latency must never extend the critical section.
-        if let Ok(reply) = &result {
-            inner.publish_durable(key, &reply.key, &reply.payload);
+        if let Ok(payload) = &result {
+            inner.publish_durable(key, payload);
+            for alias in aliases {
+                inner.publish_durable(alias, payload);
+            }
         }
-        match waiters {
-            Some(waiters) => {
-                for (i, w) in waiters.into_iter().enumerate() {
-                    let shared = match &result {
-                        Ok(reply) => Ok(ScheduleReply {
-                            key: reply.key.clone(),
-                            // Followers got their bytes from the shared
-                            // in-flight solve, not a solve of their own.
-                            cached: i > 0,
-                            payload: Arc::clone(&reply.payload),
-                        }),
-                        Err(e) => Err(e.clone()),
-                    };
-                    w.fulfill(shared);
-                }
-            }
-            None => {
-                job.slot.fulfill(result);
-            }
+        for (i, w) in waiters.into_iter().enumerate() {
+            w.slot.fulfill(match &result {
+                Ok(payload) => Ok(ScheduleReply {
+                    key: key_hex(w.alias),
+                    // Followers got their bytes from the shared in-flight
+                    // solve, not a solve of their own.
+                    cached: i > 0,
+                    payload: Arc::clone(payload),
+                    wire: None,
+                }),
+                Err(e) => Err(e.clone()),
+            });
         }
     }
 }
@@ -1025,7 +1002,8 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("opaque panic payload")
 }
 
-fn solve(inner: &Inner, key: u64, spec: &JobSpec) -> JobResult {
+/// Solves one canonical job and renders its canonical payload.
+fn solve(inner: &Inner, spec: &JobSpec) -> Result<Arc<str>, ServiceError> {
     let deployment: Deployment = match &spec.workload {
         Workload::Generated { scenario, seed } => scenario.generate(*seed),
         Workload::Explicit { deployment } => deployment.clone(),
@@ -1070,11 +1048,7 @@ fn solve(inner: &Inner, key: u64, spec: &JobSpec) -> JobResult {
             .collect(),
         schedule: run.schedule,
     };
-    Ok(ScheduleReply {
-        key: key_hex(key),
-        cached: false,
-        payload: Arc::from(canonical_json(&outcome)),
-    })
+    Ok(Arc::from(canonical_json(&outcome)))
 }
 
 #[cfg(test)]
@@ -1322,6 +1296,10 @@ mod tests {
         ]
     }
 
+    fn delta(service: &Service, base: &str, ops: &[ScenarioDelta]) -> JobResult {
+        service.request(Target::Delta { base, ops }, None, None)
+    }
+
     fn counter_value(service: &Service, name: &str) -> u64 {
         let metrics: serde_json::Value = serde_json::from_str(&service.metrics_json()).unwrap();
         metrics["counters"][name].as_f64().unwrap_or(0.0) as u64
@@ -1333,15 +1311,18 @@ mod tests {
         let job = small_job(11);
         let cold = service.schedule(&job, None).unwrap();
         let hit = service.request_by_key(&cold.key, &[]).unwrap();
-        assert_eq!(hit.key_hex, cold.key);
+        assert_eq!(hit.key, cold.key);
         assert_eq!(hit.payload, cold.payload, "determinism contract");
         assert_eq!(
-            hit.wire.as_ref(),
-            serde_json::to_string(cold.payload.as_ref()).unwrap(),
+            hit.wire.as_deref(),
+            Some(
+                serde_json::to_string(cold.payload.as_ref())
+                    .unwrap()
+                    .as_str()
+            ),
             "wire form is the payload as a JSON string literal"
         );
-        let reply = hit.into_reply();
-        assert!(reply.cached);
+        assert!(hit.cached);
         let stats = service.stats();
         assert_eq!(stats.requests, 2);
         assert_eq!(stats.cache_hits, 1, "key hits count as hits");
@@ -1380,10 +1361,10 @@ mod tests {
         // the client falls back to a full delta frame.
         let err = service.request_by_key(&base.key, &ops).unwrap_err();
         assert_eq!(err.code, CODE_KEY_MISS);
-        let via_delta = service.schedule_delta(&base.key, &ops, None, None).unwrap();
+        let via_delta = delta(&service, &base.key, &ops).unwrap();
         // Warm: key+ops answers from the derived-key alias, same bytes.
         let hit = service.request_by_key(&base.key, &ops).unwrap();
-        assert_eq!(hit.key_hex, via_delta.key);
+        assert_eq!(hit.key, via_delta.key);
         assert_eq!(hit.payload, via_delta.payload);
         service.shutdown(true);
     }
@@ -1393,7 +1374,7 @@ mod tests {
         let service = Service::start(quick_config()).unwrap();
         let job = small_job(21);
         service
-            .schedule_with_id(&job, None, Some("retry-1"))
+            .request(Target::Job(&job), None, Some("retry-1"))
             .unwrap();
         // Cold solve: one id recorded + one spec clone.
         let after_miss = counter_value(&service, "serve.admission.alloc");
@@ -1402,7 +1383,7 @@ mod tests {
         // counter pins the id clone and the spec clone to the miss path.
         for _ in 0..3 {
             let warm = service
-                .schedule_with_id(&job, None, Some("retry-1"))
+                .request(Target::Job(&job), None, Some("retry-1"))
                 .unwrap();
             assert!(warm.cached);
         }
@@ -1418,12 +1399,62 @@ mod tests {
     }
 
     #[test]
+    fn coalesced_deltas_journal_their_derived_key_once() {
+        let dir = std::env::temp_dir().join(format!("rfid_service_alias_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let service = Service::start(ServeConfig {
+            workers: 1,
+            data_dir: Some(dir.clone()),
+            snapshot_every: 0,
+            ..quick_config()
+        })
+        .unwrap();
+        let (spec, _) = explicit_job();
+        let base = service.schedule(&spec, None).unwrap();
+        let before = service.stats().journal_appends;
+        // Occupy the one worker, so identical deltas queue behind it and
+        // coalesce onto one solve.
+        let mut slow = JobSpec::new(Workload::Generated {
+            scenario: Scenario {
+                kind: ScenarioKind::UniformRandom,
+                n_readers: 2000,
+                n_tags: 40_000,
+                region_side: 640.0,
+                radius_model: RadiusModel::paper_default(),
+            },
+            seed: 1,
+        });
+        slow.algorithm = "ghc".into();
+        let Submission::Queued(busy) = service.submit_with_id(&slow, None) else {
+            panic!("the slow job must queue");
+        };
+        let threads: Vec<_> = (0..6)
+            .map(|_| {
+                let (svc, base) = (service.clone(), base.key.clone());
+                std::thread::spawn(move || delta(&svc, &base, &sample_ops()).unwrap())
+            })
+            .collect();
+        let replies: Vec<_> = threads.into_iter().map(|t| t.join().unwrap()).collect();
+        busy.wait(None).unwrap().unwrap();
+        for r in &replies {
+            assert_eq!((&r.key, &r.payload), (&replies[0].key, &replies[0].payload));
+        }
+        let stats = service.stats();
+        assert!(stats.coalesced > 0, "{stats:?}");
+        // The slow job, the delta's canonical payload and its derived
+        // key, one record each.
+        assert_eq!(stats.journal_appends - before, 3, "{stats:?}");
+        service.shutdown(true);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn delta_reply_matches_cold_solve_of_patched_scenario() {
         let (spec, deployment) = explicit_job();
         let service = Service::start(quick_config()).unwrap();
         let base = service.schedule(&spec, None).unwrap();
         let ops = sample_ops();
-        let via_delta = service.schedule_delta(&base.key, &ops, None, None).unwrap();
+        let via_delta = delta(&service, &base.key, &ops).unwrap();
 
         // Cold-solve the patched scenario on a *fresh* service: the
         // bytes must match exactly (the determinism contract).
@@ -1439,7 +1470,7 @@ mod tests {
         // hits the derived-key cache alias.
         let base_key = parse_key_hex(&base.key).unwrap();
         assert_eq!(via_delta.key, key_hex(derived_key(base_key, &ops)));
-        let again = service.schedule_delta(&base.key, &ops, None, None).unwrap();
+        let again = delta(&service, &base.key, &ops).unwrap();
         assert!(again.cached);
         assert_eq!(again.payload, via_delta.payload);
         service.shutdown(true);
@@ -1451,16 +1482,12 @@ mod tests {
         let (spec, _) = explicit_job();
         let service = Service::start(quick_config()).unwrap();
         let base = service.schedule(&spec, None).unwrap();
-        let first = service
-            .schedule_delta(&base.key, &sample_ops(), None, None)
-            .unwrap();
+        let first = delta(&service, &base.key, &sample_ops()).unwrap();
         let more = vec![rfid_delta::ScenarioDelta::SetReaderAlive {
             reader: 0,
             alive: false,
         }];
-        let second = service
-            .schedule_delta(&first.key, &more, None, None)
-            .unwrap();
+        let second = delta(&service, &first.key, &more).unwrap();
         assert_ne!(second.payload, first.payload);
         assert!(second.outcome().is_ok());
         service.shutdown(true);
@@ -1480,32 +1507,22 @@ mod tests {
         };
         let base = service.schedule(&spec, None).unwrap();
         holds("the base solve");
-        let first = service
-            .schedule_delta(&base.key, &sample_ops(), None, None)
-            .unwrap();
+        let first = delta(&service, &base.key, &sample_ops()).unwrap();
         assert!(!first.cached);
         holds("a delta miss");
-        let again = service
-            .schedule_delta(&base.key, &sample_ops(), None, None)
-            .unwrap();
+        let again = delta(&service, &base.key, &sample_ops()).unwrap();
         assert!(again.cached);
         holds("the same delta again");
         let more = vec![rfid_delta::ScenarioDelta::SetReaderAlive {
             reader: 0,
             alive: false,
         }];
-        service
-            .schedule_delta(&first.key, &more, None, None)
-            .unwrap();
+        delta(&service, &first.key, &more).unwrap();
         holds("a chained delta");
-        let err = service
-            .schedule_delta("00000000deadbeef", &sample_ops(), None, None)
-            .unwrap_err();
+        let err = delta(&service, "00000000deadbeef", &sample_ops()).unwrap_err();
         assert_eq!(err.code, CODE_BASE_MISS);
         holds("a base-miss");
-        let err = service
-            .schedule_delta("not-a-key", &sample_ops(), None, None)
-            .unwrap_err();
+        let err = delta(&service, "not-a-key", &sample_ops()).unwrap_err();
         assert_eq!(err.code, CODE_BAD_REQUEST);
         holds("a malformed base key");
         let s = service.stats();
@@ -1518,9 +1535,7 @@ mod tests {
         let (spec, _) = explicit_job();
         let service = Service::start(quick_config()).unwrap();
         let base = service.schedule(&spec, None).unwrap();
-        let reply = service
-            .schedule_delta(&base.key, &sample_ops(), None, None)
-            .unwrap();
+        let reply = delta(&service, &base.key, &sample_ops()).unwrap();
         let derived = parse_key_hex(&reply.key).unwrap();
         let specs = service.inner.specs.lock().unwrap();
         // Base, derived and canonical keys: the derived and canonical
@@ -1538,16 +1553,12 @@ mod tests {
     #[test]
     fn delta_against_unknown_base_is_a_structured_base_miss() {
         let service = Service::start(quick_config()).unwrap();
-        let err = service
-            .schedule_delta("00000000deadbeef", &sample_ops(), None, None)
-            .unwrap_err();
+        let err = delta(&service, "00000000deadbeef", &sample_ops()).unwrap_err();
         assert_eq!(err.code, CODE_BASE_MISS);
         assert!(err.message.starts_with("base-miss"), "{}", err.message);
         assert!(err.message.contains("send the full scenario"));
 
-        let err = service
-            .schedule_delta("not-a-key", &[], None, None)
-            .unwrap_err();
+        let err = delta(&service, "not-a-key", &[]).unwrap_err();
         assert_eq!(err.code, CODE_BAD_REQUEST);
         service.shutdown(true);
     }
@@ -1557,14 +1568,12 @@ mod tests {
         let (spec, _) = explicit_job();
         let service = Service::start(quick_config()).unwrap();
         let base = service.schedule(&spec, None).unwrap();
-        let err = service
-            .schedule_delta(
-                &base.key,
-                &[rfid_delta::ScenarioDelta::RemoveTag { tag: 10_000 }],
-                None,
-                None,
-            )
-            .unwrap_err();
+        let err = delta(
+            &service,
+            &base.key,
+            &[rfid_delta::ScenarioDelta::RemoveTag { tag: 10_000 }],
+        )
+        .unwrap_err();
         assert_eq!(err.code, CODE_BAD_REQUEST);
         assert!(err.message.contains("invalid delta"), "{}", err.message);
         service.shutdown(true);

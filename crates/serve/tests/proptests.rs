@@ -11,12 +11,17 @@
 //!   identity in the schedule).
 //! * **Key discrimination** — changing the algorithm seed changes the
 //!   key (no accidental cache aliasing between distinct jobs).
+//! * **Scanner agreement** — every key frame the shallow scanner accepts,
+//!   serde decodes to the same key, version, request id and
+//!   ops-emptiness, so the fast path and the router never act on a frame
+//!   the slow path would read differently.
 
 use proptest::prelude::*;
 use rfid_core::SchedulerRegistry;
 use rfid_geometry::{Point, Rect};
 use rfid_model::{Deployment, RadiusModel, Scenario, ScenarioKind};
-use rfid_serve::{decode_job, CanonicalJob, JobSpec, Workload};
+use rfid_serve::protocol::decode_frame;
+use rfid_serve::{decode_job, scan_key_frame, CanonicalJob, JobSpec, Request, Workload};
 
 const ALGORITHMS: [&str; 8] = [
     "alg1",
@@ -179,5 +184,63 @@ proptest! {
         other.algo_seed = other.algo_seed.wrapping_add(bump);
         let b = CanonicalJob::new(&other, &registry).expect("b");
         prop_assert!(a.key != b.key, "seed change must change the key");
+    }
+}
+
+/// Field fragments a `Key` frame body is assembled from: repeats of every
+/// field, null, empty, mismatched and non-empty ops, escaped ids and
+/// zero-padded versions.
+const KEY_FIELDS: [&str; 20] = [
+    r#""key":"00000000000000aa""#,
+    r#""key":"00000000000000bb""#,
+    r#""v":4"#,
+    r#""v":5"#,
+    r#""v":007"#,
+    r#""v":null"#,
+    r#""request_id":"c1-1""#,
+    r#""request_id":"c2-2""#,
+    r#""request_id":null"#,
+    r#""request_id":"x\"y""#,
+    r#""request_id":"\u0041""#,
+    r#""ops":null"#,
+    r#""ops":[]"#,
+    r#""ops":[ ]"#,
+    r#""ops":[}"#,
+    r#""ops":[{]}"#,
+    r#""ops":[{"AddTag":{"x":1.0,"y":2.0}}]"#,
+    r#""ops":[{"AddTag":{"x":1.0,"y":2.0]]"#,
+    r#""ops":[1]"#,
+    r#""ops":["]"]"#,
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A scanned key frame decodes, through serde, to the same fields.
+    /// The one allowed difference: a frame the scanner flags as holding
+    /// ops may fail to decode (its caller decodes it anyway).
+    #[test]
+    fn scanned_key_frames_agree_with_serde(
+        fields in proptest::collection::vec(0..KEY_FIELDS.len(), 0..6),
+    ) {
+        let body: Vec<&str> = fields.iter().map(|&f| KEY_FIELDS[f]).collect();
+        let line = format!(r#"{{"Key":{{{}}}}}"#, body.join(","));
+        if let Some(scan) = scan_key_frame(&line) {
+            match decode_frame::<Request>(&line) {
+                Ok(Request::Key { key, ops, request_id, v }) => {
+                    prop_assert_eq!(scan.key, key.as_str(), "{}", line);
+                    prop_assert_eq!(scan.v, v, "{}", line);
+                    prop_assert_eq!(scan.request_id, request_id.as_deref(), "{}", line);
+                    prop_assert_eq!(
+                        scan.has_ops,
+                        ops.is_some_and(|ops| !ops.is_empty()),
+                        "{}",
+                        line
+                    );
+                }
+                Ok(other) => prop_assert!(false, "{line} scanned as Key, decoded as {other:?}"),
+                Err(e) => prop_assert!(scan.has_ops, "{line} scanned, serde rejects it: {e}"),
+            }
+        }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! A served delta is `apply_ops` on the base scenario the daemon already
 //! holds, followed by an ordinary cold solve of the patched scenario.
-//! These tests hold `Service::schedule_delta` to that: chains of seeded
+//! These tests hold a `Target::Delta` request to that: chains of seeded
 //! random op streams (arrivals, departures, reader moves, failures,
 //! retunes) and the simulators' mobility and arrival streams go through
 //! the delta path hop by hop, and every reply must be byte-identical to
@@ -18,7 +18,7 @@ use rfid_core::{verify_covering_schedule, SchedulerRegistry};
 use rfid_delta::{apply_ops, derived_key, key_hex, parse_key_hex, ScenarioDelta};
 use rfid_integration_tests::scenario;
 use rfid_model::Deployment;
-use rfid_serve::{CanonicalJob, JobSpec, ServeConfig, Service, Workload};
+use rfid_serve::{CanonicalJob, JobSpec, ServeConfig, Service, Target, Workload};
 use std::sync::Arc;
 
 fn base_job(seed: u64, algorithm: &str) -> JobSpec {
@@ -116,7 +116,14 @@ fn chain_through_serve(
     for hop in 0..hops {
         let ops = next_ops(&d, hop);
         let reply = served
-            .schedule_delta(&key, &ops, None, None)
+            .request(
+                Target::Delta {
+                    base: &key,
+                    ops: &ops,
+                },
+                None,
+                None,
+            )
             .expect("delta solves");
         let base_key = parse_key_hex(&key).expect("replies carry hex keys");
         assert_eq!(reply.key, key_hex(derived_key(base_key, &ops)), "hop {hop}");
@@ -184,7 +191,16 @@ fn empty_delta_replays_the_base_schedule_exactly() {
         });
         let served = service();
         let reply = served.schedule(&base, None).unwrap();
-        let delta = served.schedule_delta(&reply.key, &[], None, None).unwrap();
+        let delta = served
+            .request(
+                Target::Delta {
+                    base: &reply.key,
+                    ops: &[],
+                },
+                None,
+                None,
+            )
+            .unwrap();
         assert!(delta.cached, "seed {seed}: the base entry answers");
         assert_eq!(
             delta.payload.as_bytes(),

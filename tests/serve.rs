@@ -1,7 +1,7 @@
 //! Service-layer integration tests for `rfid-serve`.
 //!
 //! * **Differential determinism** — the same job solved cold, answered
-//!   from the warm cache, requested through the in-process [`Client`]
+//!   from the warm cache, requested in process from the [`Service`]
 //!   and requested over TCP must all yield *byte-identical* canonical
 //!   payloads, and a cache-disabled service must agree too (the payload
 //!   is a pure function of the canonical job, never of cache state).
@@ -21,8 +21,7 @@
 
 use rfid_integration_tests::scenario;
 use rfid_serve::{
-    ClientBuilder, JobSpec, Router, RouterConfig, ScenarioDelta, ServeClient, ServeConfig, Server,
-    Service, TcpClient, Workload,
+    JobSpec, Router, RouterConfig, ScenarioDelta, ServeConfig, Server, Service, TcpClient, Workload,
 };
 use std::time::Duration;
 
@@ -55,12 +54,8 @@ fn payloads_identical_across_cold_warm_inproc_and_tcp() {
     assert_eq!(cold.key, warm.key);
     assert_eq!(cold.payload.as_bytes(), warm.payload.as_bytes());
 
-    // In-process client over the same service, via the one builder.
-    let mut client = ClientBuilder::new()
-        .in_process(service.clone())
-        .build()
-        .expect("build in-process client");
-    let inproc = client.schedule(&spec, None).expect("in-process");
+    // In process, from a clone of the same service handle.
+    let inproc = service.clone().schedule(&spec, None).expect("in-process");
     assert_eq!(cold.payload.as_bytes(), inproc.payload.as_bytes());
 
     // A cache-disabled service must produce the same bytes: the payload
@@ -240,14 +235,8 @@ fn payloads_identical_through_the_router_and_invariant_holds_fleet_wide() {
     )
     .expect("start router");
 
-    let mut via_router = ClientBuilder::new()
-        .addr(router.addr().to_string())
-        .build()
-        .expect("router client");
-    let mut direct = ClientBuilder::new()
-        .addr(standalone.addr().to_string())
-        .build()
-        .expect("direct client");
+    let mut via_router = TcpClient::connect(&router.addr().to_string()).expect("router client");
+    let mut direct = TcpClient::connect(&standalone.addr().to_string()).expect("direct client");
 
     // 20 distinct jobs, each requested twice through the router and once
     // against an unsharded daemon: same key, same bytes, every path.
@@ -278,7 +267,7 @@ fn payloads_identical_through_the_router_and_invariant_holds_fleet_wide() {
     assert_eq!(router.forward_errors(), 0);
 
     // Fleet-wide counters summed at the router keep the queue invariant.
-    let stats = via_router.stats().expect("aggregated stats");
+    let (stats, _metrics) = via_router.stats().expect("aggregated stats");
     assert_eq!(stats.requests, 40);
     assert_eq!(
         stats.cache_hits + stats.cache_misses + stats.coalesced,

@@ -20,8 +20,8 @@
 use proptest::prelude::*;
 use rfid_integration_tests::scenario;
 use rfid_serve::{
-    journal, ClientBuilder, DiskStorage, FailoverPolicy, FaultyStorage, JobSpec, ServeClient,
-    ServeConfig, Server, Service, Storage, StorageFaults, Workload,
+    journal, DiskStorage, FailoverPolicy, FaultyStorage, JobSpec, ServeConfig, Server, Service,
+    Storage, StorageFaults, TcpClient, Workload,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -274,15 +274,14 @@ fn peer_loss_mid_sequence_fails_over_byte_identically() {
 
     let doomed = Server::start("127.0.0.1:0", config()).expect("bind doomed peer");
     let survivor = Server::start("127.0.0.1:0", config()).expect("bind survivor");
-    let mut client = ClientBuilder::new()
-        .addrs([doomed.addr().to_string(), survivor.addr().to_string()])
-        .policy(FailoverPolicy {
+    let mut client = TcpClient::failover(
+        vec![doomed.addr().to_string(), survivor.addr().to_string()],
+        FailoverPolicy {
             attempts: 4,
             backoff: Duration::from_millis(5),
             max_backoff: Duration::from_millis(40),
-        })
-        .build()
-        .expect("build failover client");
+        },
+    );
 
     let first = client.schedule(&jobs[0], None).expect("both peers alive");
     assert_eq!(first.payload.as_bytes(), reference[0].as_bytes());
