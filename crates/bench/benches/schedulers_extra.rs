@@ -1,12 +1,10 @@
-//! Criterion bench: extension kernels — multi-channel greedy, local-search
-//! improvement, Q-learning training, growth-function diagnostics and the
-//! full end-to-end covering schedule.
+//! Criterion bench: extension kernels — local-search improvement,
+//! growth-function diagnostics and the full end-to-end covering schedule.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rfid_core::OneShotScheduler;
+use criterion::{criterion_group, criterion_main, Criterion};
 use rfid_core::{
     covering_schedule_with, improve_schedule, make_scheduler, AlgorithmKind, McsOptions,
-    MultiChannelGreedy, OneShotInput, QLearningScheduler,
+    OneShotInput,
 };
 use rfid_model::interference::interference_graph;
 use rfid_model::{Coverage, RadiusModel, Scenario, ScenarioKind, TagSet};
@@ -26,23 +24,6 @@ fn paper_deployment(seed: u64) -> rfid_model::Deployment {
     .generate(seed)
 }
 
-fn bench_multichannel(c: &mut Criterion) {
-    let d = paper_deployment(1);
-    let cov = Coverage::build(&d);
-    let g = interference_graph(&d);
-    let unread = TagSet::all_unread(d.n_tags());
-    let mut group = c.benchmark_group("multichannel");
-    for &channels in &[1usize, 2, 4] {
-        group.bench_with_input(BenchmarkId::from_parameter(channels), &channels, |b, &k| {
-            b.iter(|| {
-                let input = OneShotInput::new(&d, &cov, &g, &unread);
-                black_box(MultiChannelGreedy::new(k).schedule(black_box(&input)))
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_local_search(c: &mut Criterion) {
     let d = paper_deployment(2);
     let cov = Coverage::build(&d);
@@ -56,22 +37,6 @@ fn bench_local_search(c: &mut Criterion) {
             black_box(improve_schedule(black_box(&input), &start))
         })
     });
-}
-
-fn bench_qlearning(c: &mut Criterion) {
-    let d = paper_deployment(3);
-    let cov = Coverage::build(&d);
-    let g = interference_graph(&d);
-    let unread = TagSet::all_unread(d.n_tags());
-    let mut group = c.benchmark_group("qlearning");
-    group.sample_size(10);
-    group.bench_function("train_300_episodes", |b| {
-        b.iter(|| {
-            let input = OneShotInput::new(&d, &cov, &g, &unread);
-            black_box(QLearningScheduler::seeded(7).schedule(black_box(&input)))
-        })
-    });
-    group.finish();
 }
 
 fn bench_growth_diagnostics(c: &mut Criterion) {
@@ -111,9 +76,7 @@ fn bench_full_mcs(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_multichannel,
     bench_local_search,
-    bench_qlearning,
     bench_growth_diagnostics,
     bench_full_mcs
 );

@@ -1,5 +1,5 @@
 //! Criterion bench: the substrate kernels every scheduler call sits on —
-//! spatial indices, interference-graph construction, coverage tables,
+//! the grid spatial index, interference-graph construction, coverage tables,
 //! weight evaluation, hop balls and the exact MWFS enumeration primitive.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -7,7 +7,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rfid_core::exact::exact_mwfs_restricted;
 use rfid_geometry::sampling::uniform_points;
-use rfid_geometry::{GridIndex, Point, QuadTree, Rect};
+use rfid_geometry::{GridIndex, Point, Rect};
 use rfid_graph::k_hop_ball;
 use rfid_model::interference::interference_graph;
 use rfid_model::{Coverage, RadiusModel, Scenario, ScenarioKind, TagSet, WeightEvaluator};
@@ -34,17 +34,10 @@ fn bench_spatial_indices(c: &mut Criterion) {
     group.bench_function("grid_build_1200", |b| {
         b.iter(|| black_box(GridIndex::build(black_box(&points), 6.0)))
     });
-    group.bench_function("quadtree_build_1200", |b| {
-        b.iter(|| black_box(QuadTree::build(black_box(&points), Rect::square(100.0))))
-    });
     let grid = GridIndex::build(&points, 6.0);
-    let tree = QuadTree::build(&points, Rect::square(100.0));
     let center = Point::new(50.0, 50.0);
     group.bench_function("grid_query_r6", |b| {
         b.iter(|| black_box(grid.query_within(black_box(center), 6.0)))
-    });
-    group.bench_function("quadtree_query_r6", |b| {
-        b.iter(|| black_box(tree.query_within(black_box(center), 6.0)))
     });
     group.finish();
 }

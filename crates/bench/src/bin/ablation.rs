@@ -2,21 +2,21 @@
 //!
 //! 1. PTAS grid parameter `k` and the greedy augmentation step —
 //!    one-shot weight and runtime.
-//! 2. Algorithm 2's growth threshold ρ — weight vs hops explored.
+//! 2. Algorithm 2's growth threshold ρ — one-shot weight and runtime.
 //! 3. Empirical approximation ratios of every scheduler against the exact
 //!    optimum on small instances (backing Theorems 2/4/6).
 //! 4. Algorithm 3's communication cost as a function of `c`.
-//! 5. Multi-channel extension: one-shot weight vs number of channels.
-//! 6. Q-learning (HiQ) comparator vs the guaranteed algorithms.
-//! 7. Algorithm 3 robustness under message loss.
+//! 5. Algorithm 3 under message loss, with the fault plan's
+//!    ack/retransmit layer armed.
+//! 6. Distance from local optimality (destroy-and-repair local search).
 
 use rfid_core::{
     improve_schedule, make_scheduler, AlgorithmKind, DistributedScheduler, ExactScheduler,
-    LocalGreedy, MultiChannelGreedy, OneShotInput, OneShotScheduler, PtasScheduler,
-    QLearningScheduler,
+    LocalGreedy, OneShotInput, OneShotScheduler, PtasScheduler,
 };
 use rfid_model::interference::interference_graph;
 use rfid_model::{Coverage, RadiusModel, Scenario, ScenarioKind, TagSet};
+use rfid_netsim::FaultPlan;
 use std::time::Instant;
 
 fn scenario(n_readers: usize, n_tags: usize) -> Scenario {
@@ -154,50 +154,7 @@ fn main() {
         );
     }
 
-    println!("\n## Ablation 5 — multi-channel extension (one-shot weight vs channels)\n");
-    println!("| channels | weight | active readers |");
-    println!("|---|---|---|");
-    for channels in [1usize, 2, 3, 4, 6] {
-        let mut total_w = 0.0;
-        let mut total_active = 0.0;
-        for seed in seeds.clone() {
-            let d = s.generate(seed);
-            let cov = Coverage::build(&d);
-            let g = interference_graph(&d);
-            let unread = TagSet::all_unread(d.n_tags());
-            let input = OneShotInput::new(&d, &cov, &g, &unread);
-            let sched = MultiChannelGreedy::new(channels);
-            let a = sched.schedule(&input);
-            total_w += sched.weight_of(&input, &a) as f64;
-            total_active += a.active_readers().len() as f64;
-        }
-        let n = seeds.clone().count() as f64;
-        println!(
-            "| {channels} | {:.1} | {:.1} |",
-            total_w / n,
-            total_active / n
-        );
-    }
-
-    println!("\n## Ablation 6 — Q-learning (HiQ) comparator\n");
-    println!("| algorithm | one-shot weight (mean) |");
-    println!("|---|---|");
-    let mut ql = 0.0;
-    let mut alg2 = 0.0;
-    for seed in seeds.clone() {
-        let d = s.generate(seed);
-        let cov = Coverage::build(&d);
-        let g = interference_graph(&d);
-        let unread = TagSet::all_unread(d.n_tags());
-        let input = OneShotInput::new(&d, &cov, &g, &unread);
-        ql += input.weight_of(&QLearningScheduler::seeded(seed).schedule(&input)) as f64;
-        alg2 += input.weight_of(&LocalGreedy::default().schedule(&input)) as f64;
-    }
-    let n = seeds.clone().count() as f64;
-    println!("| qlearning-hiq | {:.1} |", ql / n);
-    println!("| alg2-central | {:.1} |", alg2 / n);
-
-    println!("\n## Ablation 7 — Algorithm 3 under message loss\n");
+    println!("\n## Ablation 5 — Algorithm 3 under message loss (acks and retransmission)\n");
     println!("| loss p | weight | dropped/messages |");
     println!("|---|---|---|");
     for p in [0.0, 0.1, 0.25, 0.5] {
@@ -210,7 +167,8 @@ fn main() {
             let g = interference_graph(&d);
             let unread = TagSet::all_unread(d.n_tags());
             let input = OneShotInput::new(&d, &cov, &g, &unread);
-            let mut sched = DistributedScheduler::default().with_loss(p, seed);
+            let mut sched =
+                DistributedScheduler::default().with_faults(FaultPlan::seeded(seed).with_loss(p));
             let set = sched.schedule(&input);
             assert!(d.is_feasible(&set));
             total_w += input.weight_of(&set) as f64;
@@ -225,7 +183,7 @@ fn main() {
     }
 
     println!(
-        "\n## Ablation 8 — distance from local optimality (destroy-and-repair local search)\n"
+        "\n## Ablation 6 — distance from local optimality (destroy-and-repair local search)\n"
     );
     println!("| algorithm | weight | after local search | gain % |");
     println!("|---|---|---|---|");

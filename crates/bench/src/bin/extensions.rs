@@ -3,14 +3,10 @@
 //! 1. **Dynamic arrivals** — steady-state throughput and service latency
 //!    vs offered load (the static-tag assumption the paper flags in Zhou
 //!    et al. removed).
-//! 2. **Multi-channel MCS** — covering-schedule size vs channels.
-//! 3. **Activation stability** — per-algorithm churn of the MCS schedules
+//! 2. **Activation stability** — per-algorithm churn of the MCS schedules
 //!    (the RASPberry \[9\] concern).
 
-use rfid_core::{
-    covering_schedule_with, make_scheduler, multichannel_covering_schedule, AlgorithmKind,
-    McsOptions,
-};
+use rfid_core::{covering_schedule_with, make_scheduler, AlgorithmKind, McsOptions};
 use rfid_model::interference::interference_graph;
 use rfid_model::{Coverage, RadiusModel, Scenario, ScenarioKind};
 use rfid_sim::metrics::activation_churn;
@@ -81,21 +77,7 @@ fn main() {
         }
     }
 
-    println!("\n## Extension 2 — multi-channel covering schedules\n");
-    println!("| channels | slots (mean) |");
-    println!("|---|---|");
-    for channels in [1usize, 2, 3, 4] {
-        let mut total = 0usize;
-        for &seed in &seeds {
-            let d = scenario(n_readers, if quick { 300 } else { 1200 }).generate(seed);
-            let c = Coverage::build(&d);
-            let g = interference_graph(&d);
-            total += multichannel_covering_schedule(&d, &c, &g, channels, 100_000).size();
-        }
-        println!("| {channels} | {:.2} |", total as f64 / seeds.len() as f64);
-    }
-
-    println!("\n## Extension 3 — activation stability (mean churn of MCS slots)\n");
+    println!("\n## Extension 2 — activation stability (mean churn of MCS slots)\n");
     println!("| algorithm | churn (0 = stable, 1 = full swap each slot) | slots |");
     println!("|---|---|---|");
     for kind in AlgorithmKind::paper_lineup() {

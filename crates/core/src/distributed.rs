@@ -235,10 +235,6 @@ struct ReaderAgent {
     eliminated: BTreeSet<u32>,
     /// Result announcements already forwarded (by head id).
     forwarded: BTreeSet<u32>,
-    /// Fault injection: stop participating from this round on.
-    crash_at: Option<u64>,
-    /// Set once the crash round has been reached.
-    crashed: bool,
     /// Observable events with their round, for the execution trace.
     events: Vec<(u64, TraceEvent)>,
     // --- Reliability layer (inert unless `rel.enabled`) ------------------
@@ -276,8 +272,6 @@ impl ReaderAgent {
             fresh: vec![record],
             eliminated: BTreeSet::new(),
             forwarded: BTreeSet::new(),
-            crash_at: None,
-            crashed: false,
             events: Vec::new(),
             rel,
             next_seq: 1,
@@ -532,12 +526,6 @@ impl Node for ReaderAgent {
     type Msg = Msg;
 
     fn step(&mut self, round: u64, inbox: &[Envelope<Msg>], out: &mut Outbox<Msg>) {
-        // --- Fault injection: a crashed reader is dark — it neither
-        // ingests nor relays nor announces.
-        if self.crash_at.is_some_and(|at| round >= at) {
-            self.crashed = true;
-            return;
-        }
         // --- Ingest ------------------------------------------------------
         if !inbox.is_empty() {
             self.last_msg_round = round;
@@ -647,7 +635,7 @@ impl Node for ReaderAgent {
     }
 
     fn is_done(&self) -> bool {
-        self.crashed || (self.color != Color::White && self.pending.is_empty())
+        self.color != Color::White && self.pending.is_empty()
     }
 }
 
@@ -683,25 +671,13 @@ pub struct DistributedScheduler {
     pub rho: Option<f64>,
     /// Growth cap `c`; `None` → 3.
     pub c: Option<u32>,
-    /// Unreliable links: `(drop probability, seed)`. Under loss, gathered
-    /// knowledge and result floods may be incomplete; the carrier-sense
-    /// repair (below) keeps the output feasible while the robustness
-    /// ablation measures the weight degradation.
-    pub loss: Option<(f64, u64)>,
-    /// Fault injection: `(reader, round)` pairs — the reader goes dark
-    /// from that round on (crash-stop model).
-    pub crashes: Vec<(ReaderId, u64)>,
-    /// Bounded asynchrony: `(max extra rounds, seed)` — each message is
-    /// delayed by an extra uniform number of rounds. The synchronous
-    /// gather phase then sees *incomplete* neighbourhoods, so the
-    /// carrier-sense repair may engage; the output stays feasible.
-    pub delay: Option<(u64, u64)>,
-    /// Unified fault injection. When set, it supersedes the legacy
-    /// `loss`/`crashes`/`delay` knobs above and additionally arms the
-    /// reliability layer (acks, retransmission, timeout-driven phase
-    /// progression, head re-election) whenever the plan can actually lose
-    /// messages. `Some(FaultPlan::none())` behaves bit-identically to
-    /// `None`.
+    /// Fault injection: message loss, bounded delay, crash-stop readers
+    /// and transient partitions. A plan that can lose messages also arms
+    /// the reliability layer (acks, retransmission, timeout-driven phase
+    /// progression, head re-election). Under delay or loss the gathered
+    /// neighbourhoods may be incomplete; the carrier-sense repair (below)
+    /// keeps the output feasible. `Some(FaultPlan::none())` behaves
+    /// bit-identically to `None`.
     pub fault_plan: Option<FaultPlan>,
     /// Stats of the last `schedule` call.
     pub last_stats: Option<NetStats>,
@@ -710,8 +686,8 @@ pub struct DistributedScheduler {
     pub last_trace: Option<Vec<(u64, TraceEvent)>>,
     /// Outcome digest of the last `schedule` call.
     pub last_summary: Option<RunSummary>,
-    /// Readers that crash-stopped during the last `schedule` call (from
-    /// either the fault plan or the legacy `crashes` knob), ascending.
+    /// Readers that crash-stopped during the last `schedule` call,
+    /// ascending.
     pub last_crashed: Vec<ReaderId>,
 }
 
@@ -723,12 +699,6 @@ impl DistributedScheduler {
             c: Some(c),
             ..Default::default()
         }
-    }
-
-    /// Enables the unreliable-link model.
-    pub fn with_loss(mut self, p: f64, seed: u64) -> Self {
-        self.loss = Some((p, seed));
-        self
     }
 
     /// Runs the protocol under `plan`, with the reliability layer armed
@@ -793,25 +763,12 @@ impl OneShotScheduler for DistributedScheduler {
                     neighbors: input.graph.neighbors(v).to_vec(),
                     tags,
                 };
-                let mut agent = ReaderAgent::new(record, rho, c, rel);
-                agent.crash_at = self
-                    .crashes
-                    .iter()
-                    .find(|&&(r, _)| r == v)
-                    .map(|&(_, at)| at);
-                agent
+                ReaderAgent::new(record, rho, c, rel)
             })
             .collect();
         let mut net = Network::new(input.graph.clone(), agents);
         if let Some(plan) = &self.fault_plan {
             net = net.with_faults(plan.clone());
-        } else {
-            if let Some((p, seed)) = self.loss {
-                net = net.with_loss(p, seed);
-            }
-            if let Some((max_extra, seed)) = self.delay {
-                net = net.with_delay(max_extra, seed);
-            }
         }
         // Generous round budget: gather + (heads are elected at least every
         // O(TTL) rounds and at least one reader is eliminated per head).
@@ -828,10 +785,7 @@ impl OneShotScheduler for DistributedScheduler {
             ((2 * c as u64 + 2) + (n as u64 + 1) * (3 * c as u64 + 5) + 16) * (1 + max_delay)
         };
         net.run_until_quiescent_observed(budget, sub);
-        let faulty = self.loss.is_some()
-            || !self.crashes.is_empty()
-            || self.delay.is_some()
-            || self.fault_plan.as_ref().is_some_and(|p| !p.is_none());
+        let faulty = self.fault_plan.as_ref().is_some_and(|p| !p.is_none());
         assert!(
             faulty || net.is_quiescent(),
             "distributed protocol failed to converge within {budget} rounds"
@@ -872,9 +826,8 @@ impl OneShotScheduler for DistributedScheduler {
         // A reader that actually went dark during the protocol cannot
         // transmit: exclude it from the activation even if it was Red
         // before crashing. (A crash scheduled beyond convergence never
-        // fired and changes nothing.) Crashes can come from the legacy
-        // per-agent knob or from the network-level fault plan.
-        let is_dead = |a: &ReaderAgent| a.crashed || net_crashed.contains(&(a.id as usize));
+        // fired and changes nothing.)
+        let is_dead = |a: &ReaderAgent| net_crashed.contains(&(a.id as usize));
         let mut x: Vec<ReaderId> = agents
             .iter()
             .filter(|a| a.color == Color::Red && !is_dead(a))
@@ -1109,7 +1062,7 @@ mod loss_tests {
                 let unread = TagSet::all_unread(d.n_tags());
                 let input = OneShotInput::new(&d, &c, &g, &unread);
                 let set = DistributedScheduler::default()
-                    .with_loss(p, seed)
+                    .with_faults(FaultPlan::seeded(seed).with_loss(p))
                     .schedule(&input);
                 assert!(d.is_feasible(&set), "p={p} seed={seed}: {set:?}");
             }
@@ -1123,7 +1076,7 @@ mod loss_tests {
         let input = OneShotInput::new(&d, &c, &g, &unread);
         let reliable = DistributedScheduler::default().schedule(&input);
         let zero_loss = DistributedScheduler::default()
-            .with_loss(0.0, 1)
+            .with_faults(FaultPlan::seeded(1).with_loss(0.0))
             .schedule(&input);
         assert_eq!(reliable, zero_loss);
     }
@@ -1133,7 +1086,8 @@ mod loss_tests {
         let (d, c, g) = setup(1);
         let unread = TagSet::all_unread(d.n_tags());
         let input = OneShotInput::new(&d, &c, &g, &unread);
-        let mut s = DistributedScheduler::default().with_loss(0.3, 7);
+        let mut s =
+            DistributedScheduler::default().with_faults(FaultPlan::seeded(7).with_loss(0.3));
         s.schedule(&input);
         let stats = s.last_stats.unwrap();
         assert!(stats.dropped > 0);
@@ -1152,7 +1106,7 @@ mod loss_tests {
             clean += input.weight_of(&DistributedScheduler::default().schedule(&input));
             lossy += input.weight_of(
                 &DistributedScheduler::default()
-                    .with_loss(0.2, seed)
+                    .with_faults(FaultPlan::seeded(seed).with_loss(0.2))
                     .schedule(&input),
             );
         }
@@ -1232,10 +1186,8 @@ mod trace_and_crash_tests {
         let heaviest = (0..d.n_readers())
             .max_by_key(|&v| weights.singleton_weight(v, &unread))
             .unwrap();
-        let mut s = DistributedScheduler {
-            crashes: vec![(heaviest, 0)],
-            ..Default::default()
-        };
+        let mut s = DistributedScheduler::default()
+            .with_faults(FaultPlan::seeded(0).with_crash(heaviest, 0));
         let set = s.schedule(&input);
         assert!(!set.contains(&heaviest));
         assert!(d.is_feasible(&set));
@@ -1248,10 +1200,8 @@ mod trace_and_crash_tests {
         let input = OneShotInput::new(&d, &c, &g, &unread);
         let clean = DistributedScheduler::default().schedule(&input);
         // A crash far beyond convergence never fires.
-        let mut s = DistributedScheduler {
-            crashes: vec![(0, 10_000)],
-            ..Default::default()
-        };
+        let mut s =
+            DistributedScheduler::default().with_faults(FaultPlan::seeded(0).with_crash(0, 10_000));
         let with_late_crash = s.schedule(&input);
         assert_eq!(clean, with_late_crash);
     }
@@ -1262,10 +1212,8 @@ mod trace_and_crash_tests {
         let unread = TagSet::all_unread(d.n_tags());
         let input = OneShotInput::new(&d, &c, &g, &unread);
         // A third of the fleet dies mid-gather.
-        let mut s = DistributedScheduler {
-            crashes: (0..10).map(|v| (v, 3u64)).collect(),
-            ..Default::default()
-        };
+        let plan = (0..10).fold(FaultPlan::seeded(0), |plan, v| plan.with_crash(v, 3));
+        let mut s = DistributedScheduler::default().with_faults(plan);
         let set = s.schedule(&input);
         assert!(d.is_feasible(&set));
         for v in 0..10 {
@@ -1281,7 +1229,7 @@ mod fault_plan_tests {
     use rfid_model::scenario::{Scenario, ScenarioKind};
     use rfid_model::{Coverage, RadiusModel};
 
-    // Denser than the legacy modules' setup (smaller region) so crash and
+    // Denser than the other modules' setup (smaller region) so crash and
     // partition faults actually hit connected neighbourhoods.
     fn setup(seed: u64) -> (rfid_model::Deployment, Coverage, Csr) {
         let d = Scenario {
@@ -1301,17 +1249,17 @@ mod fault_plan_tests {
     }
 
     #[test]
-    fn none_plan_is_bit_identical_to_legacy_run() {
+    fn none_plan_is_bit_identical_to_no_plan() {
         let (d, c, g) = setup(0);
         let unread = TagSet::all_unread(d.n_tags());
         let input = OneShotInput::new(&d, &c, &g, &unread);
-        let mut legacy = DistributedScheduler::default();
+        let mut unplanned = DistributedScheduler::default();
         let mut planned = DistributedScheduler::default().with_faults(FaultPlan::none());
-        let x = legacy.schedule(&input);
+        let x = unplanned.schedule(&input);
         let y = planned.schedule(&input);
         assert_eq!(x, y);
-        assert_eq!(legacy.last_stats, planned.last_stats);
-        assert_eq!(legacy.last_trace, planned.last_trace);
+        assert_eq!(unplanned.last_stats, planned.last_stats);
+        assert_eq!(unplanned.last_trace, planned.last_trace);
         let summary = planned.last_summary.unwrap();
         assert!(summary.completed && summary.quiescent);
         assert_eq!(summary.crashed, 0);
@@ -1339,8 +1287,8 @@ mod fault_plan_tests {
 
     #[test]
     fn reliability_recovers_most_of_the_weight_under_loss() {
-        // The legacy lossy run has no acks, so knowledge floods stay
-        // truncated; the reliability layer should claw most weight back.
+        // Without acks, lost knowledge floods would stay truncated; the
+        // reliability layer should claw most weight back.
         let mut clean = 0usize;
         let mut reliable = 0usize;
         for seed in 0..4u64 {
@@ -1480,10 +1428,8 @@ mod delay_tests {
             let g = interference_graph(&d);
             let unread = TagSet::all_unread(d.n_tags());
             let input = OneShotInput::new(&d, &c, &g, &unread);
-            let mut s = DistributedScheduler {
-                delay: Some((3, seed)),
-                ..Default::default()
-            };
+            let mut s =
+                DistributedScheduler::default().with_faults(FaultPlan::seeded(seed).with_delay(3));
             let set = s.schedule(&input);
             assert!(d.is_feasible(&set), "seed {seed}: {set:?}");
             // asynchrony costs some weight but not everything

@@ -45,10 +45,8 @@ pub mod hill_climbing;
 pub mod local_greedy;
 pub mod local_search;
 pub mod mcs;
-pub mod multichannel;
 pub mod par;
 pub mod ptas;
-pub mod qlearning;
 pub mod registry;
 pub mod scheduler;
 pub mod verify;
@@ -64,12 +62,8 @@ pub use mcs::{
     covering_schedule, covering_schedule_with, CoveringSchedule, FaultPolicy, McsOptions, McsRun,
     ResilientSchedule, ScheduleError, SlotRecord,
 };
-pub use multichannel::{
-    multichannel_covering_schedule, ChannelAssignment, MultiChannelGreedy, MultiChannelSchedule,
-};
 pub use ptas::PtasScheduler;
-pub use qlearning::QLearningScheduler;
-pub use registry::{FeasibleSet, Scheduler, SchedulerEntry, SchedulerRegistry};
+pub use registry::{SchedulerEntry, SchedulerRegistry};
 pub use scheduler::{
     make_scheduler, AlgorithmKind, OneShotInput, OneShotInputBuilder, OneShotScheduler,
 };

@@ -1,4 +1,4 @@
-//! Name→scheduler registry and the stateless [`Scheduler`] facade.
+//! Name→scheduler registry.
 //!
 //! Before this module, three places kept their own algorithm tables: the
 //! cli's `parse_algorithm` match, the sweep harness's factory calls and
@@ -7,75 +7,7 @@
 //! [`AlgorithmKind`]s and factory calls; [`make_scheduler`] remains the
 //! low-level constructor behind it.
 
-use crate::scheduler::{make_scheduler, AlgorithmKind, OneShotInput, OneShotScheduler};
-use rfid_model::ReaderId;
-
-/// A feasible scheduling set returned by [`Scheduler::one_shot`]: pairwise
-/// independent readers, in the order the algorithm produced them.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FeasibleSet {
-    readers: Vec<ReaderId>,
-}
-
-impl FeasibleSet {
-    /// The activated readers.
-    pub fn readers(&self) -> &[ReaderId] {
-        &self.readers
-    }
-
-    /// Consumes the set into its reader vector.
-    pub fn into_vec(self) -> Vec<ReaderId> {
-        self.readers
-    }
-
-    /// Number of activated readers.
-    pub fn len(&self) -> usize {
-        self.readers.len()
-    }
-
-    /// `true` when no reader is activated.
-    pub fn is_empty(&self) -> bool {
-        self.readers.is_empty()
-    }
-}
-
-impl From<Vec<ReaderId>> for FeasibleSet {
-    fn from(readers: Vec<ReaderId>) -> Self {
-        FeasibleSet { readers }
-    }
-}
-
-impl AsRef<[ReaderId]> for FeasibleSet {
-    fn as_ref(&self) -> &[ReaderId] {
-        &self.readers
-    }
-}
-
-/// The stateless one-shot scheduling facade: a fresh run per call, no
-/// mutable borrow needed.
-///
-/// Blanket-implemented for every [`OneShotScheduler`] that is `Clone`
-/// (all six built-ins), by running a clone — so harnesses can hold one
-/// configured instance and schedule from shared references, while the
-/// mutable [`OneShotScheduler`] remains the trait algorithms implement.
-pub trait Scheduler {
-    /// Stable name used in experiment tables.
-    fn name(&self) -> &'static str;
-
-    /// Computes an (approximate) maximum weighted feasible scheduling
-    /// set for one time slot.
-    fn one_shot(&self, input: &OneShotInput<'_>) -> FeasibleSet;
-}
-
-impl<T: OneShotScheduler + Clone> Scheduler for T {
-    fn name(&self) -> &'static str {
-        OneShotScheduler::name(self)
-    }
-
-    fn one_shot(&self, input: &OneShotInput<'_>) -> FeasibleSet {
-        self.clone().schedule(input).into()
-    }
-}
+use crate::scheduler::{make_scheduler, AlgorithmKind, OneShotScheduler};
 
 /// One registry row: the canonical label, its cli aliases and a short
 /// description.
@@ -192,8 +124,6 @@ impl SchedulerRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rfid_model::interference::interference_graph;
-    use rfid_model::{Coverage, Scenario, TagSet};
 
     #[test]
     fn labels_match_algorithm_kind() {
@@ -270,23 +200,5 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), before, "duplicate registry spelling");
-    }
-
-    #[test]
-    fn stateless_facade_matches_the_mutable_trait() {
-        fn check<S: OneShotScheduler + Clone>(s: S, input: &OneShotInput<'_>) {
-            let stateless = Scheduler::one_shot(&s, input).into_vec();
-            let mut owned = s;
-            assert_eq!(stateless, owned.schedule(input), "{}", owned.name());
-        }
-        let d = Scenario::paper_evaluation(14.0, 6.0).generate(11);
-        let c = Coverage::build(&d);
-        let g = interference_graph(&d);
-        let unread = TagSet::all_unread(d.n_tags());
-        let input = OneShotInput::builder(&d, &c, &g).unread(&unread).build();
-        check(crate::ptas::PtasScheduler::default(), &input);
-        check(crate::local_greedy::LocalGreedy::default(), &input);
-        check(crate::hill_climbing::HillClimbing::default(), &input);
-        check(crate::colorwave::Colorwave::seeded(7), &input);
     }
 }

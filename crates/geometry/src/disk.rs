@@ -37,12 +37,6 @@ impl Disk {
         self.center.within(p, self.radius)
     }
 
-    /// `true` iff `p` lies strictly inside the open disk.
-    #[inline]
-    pub fn contains_strict(&self, p: Point) -> bool {
-        self.center.within_strict(p, self.radius)
-    }
-
     /// `true` iff the two closed disks share at least one point.
     #[inline]
     pub fn intersects(&self, other: &Disk) -> bool {
@@ -84,17 +78,6 @@ impl Disk {
             self.center.x + self.radius,
             self.center.y + self.radius,
         )
-    }
-
-    /// `true` iff the disk lies entirely inside `rect` **without touching its
-    /// boundary** — the "does not intersect the boundary of any j-square"
-    /// condition of the survive-disk test. Strict inequalities on all four
-    /// sides.
-    pub fn strictly_inside(&self, rect: &Rect) -> bool {
-        self.center.x - self.radius > rect.min_x
-            && self.center.x + self.radius < rect.max_x
-            && self.center.y - self.radius > rect.min_y
-            && self.center.y + self.radius < rect.max_y
     }
 
     /// Area `πR²`.
@@ -143,7 +126,7 @@ mod tests {
     fn containment_is_closed() {
         let d = disk(0.0, 0.0, 2.0);
         assert!(d.contains(Point::new(2.0, 0.0)));
-        assert!(!d.contains_strict(Point::new(2.0, 0.0)));
+        assert!(!d.center.within_strict(Point::new(2.0, 0.0), d.radius));
         assert!(!d.contains(Point::new(2.0 + 1e-9, 0.0)));
     }
 
@@ -190,14 +173,6 @@ mod tests {
         let e = disk(0.0, 5.0, 2.0);
         assert!(e.hits_horizontal(3.0));
         assert!(!e.hits_horizontal(7.0));
-    }
-
-    #[test]
-    fn strictly_inside_rejects_boundary_touch() {
-        let r = Rect::new(0.0, 0.0, 10.0, 10.0);
-        assert!(disk(5.0, 5.0, 2.0).strictly_inside(&r));
-        assert!(!disk(2.0, 5.0, 2.0).strictly_inside(&r)); // touches x=0
-        assert!(!disk(5.0, 9.0, 2.0).strictly_inside(&r)); // crosses y=10
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //!
 //! The crate provides the planar primitives the paper's model is phrased in
 //! (points, disks, axis-aligned rectangles), deterministic random sampling of
-//! deployments, spatial indices (uniform grid and quadtree) used to build
-//! interference graphs and coverage tables in near-linear time, and the
+//! deployments, a uniform-grid spatial index used to build interference
+//! graphs and coverage tables in near-linear time, and the
 //! *hierarchical shifted grid* subdivision that Algorithm 1's PTAS dynamic
 //! program runs on.
 //!
@@ -25,7 +25,6 @@
 pub mod disk;
 pub mod grid;
 pub mod point;
-pub mod quadtree;
 pub mod rect;
 pub mod sampling;
 pub mod shifted_grid;
@@ -34,7 +33,6 @@ pub mod vec2;
 pub use disk::Disk;
 pub use grid::GridIndex;
 pub use point::Point;
-pub use quadtree::QuadTree;
 pub use rect::Rect;
 pub use shifted_grid::{HierarchicalGrid, LevelAssignment, Shifting, SquareId};
 pub use vec2::Vec2;

@@ -60,12 +60,6 @@ impl Point {
         self.dist_sq(other) <= r * r
     }
 
-    /// Component-wise midpoint of two points.
-    #[inline]
-    pub fn midpoint(&self, other: Point) -> Point {
-        Point::new((self.x + other.x) * 0.5, (self.y + other.y) * 0.5)
-    }
-
     /// `true` iff both coordinates are finite (not NaN/∞).
     #[inline]
     pub fn is_finite(&self) -> bool {
@@ -136,15 +130,6 @@ mod tests {
         assert!(a.within(b, 5.0));
         assert!(!a.within_strict(b, 5.0));
         assert!(a.within_strict(b, 5.0 + 1e-9));
-    }
-
-    #[test]
-    fn midpoint_is_halfway() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(10.0, -4.0);
-        let m = a.midpoint(b);
-        assert_eq!(m, Point::new(5.0, -2.0));
-        assert!(crate::approx_eq(a.dist(m), b.dist(m)));
     }
 
     #[test]

@@ -113,8 +113,7 @@ impl Rect {
         )
     }
 
-    /// Splits into four equal quadrants `[SW, SE, NW, NE]` (used by the
-    /// quadtree).
+    /// Splits into four equal quadrants `[SW, SE, NW, NE]`.
     pub fn quadrants(&self) -> [Rect; 4] {
         let c = self.center();
         [

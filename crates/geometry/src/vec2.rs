@@ -22,16 +22,10 @@ impl Vec2 {
         Vec2 { x, y }
     }
 
-    /// Squared length.
-    #[inline]
-    pub fn len_sq(&self) -> f64 {
-        self.x * self.x + self.y * self.y
-    }
-
     /// Euclidean length.
     #[inline]
     pub fn len(&self) -> f64 {
-        self.len_sq().sqrt()
+        (self.x * self.x + self.y * self.y).sqrt()
     }
 
     /// Dot product.
@@ -56,12 +50,6 @@ impl Vec2 {
         } else {
             Some(Vec2::new(self.x / l, self.y / l))
         }
-    }
-
-    /// Rotates the vector by 90° counter-clockwise.
-    #[inline]
-    pub fn perp(&self) -> Vec2 {
-        Vec2::new(-self.y, self.x)
     }
 }
 
@@ -104,7 +92,7 @@ mod tests {
     #[test]
     fn length_and_dot() {
         let v = Vec2::new(3.0, 4.0);
-        assert_eq!(v.len_sq(), 25.0);
+        assert_eq!(v.dot(v), 25.0);
         assert_eq!(v.len(), 5.0);
         assert_eq!(v.dot(Vec2::new(1.0, 0.0)), 3.0);
     }
@@ -123,13 +111,6 @@ mod tests {
         let v = Vec2::new(0.0, 10.0);
         assert_eq!(v.normalized(), Some(Vec2::new(0.0, 1.0)));
         assert_eq!(Vec2::ZERO.normalized(), None);
-    }
-
-    #[test]
-    fn perp_is_ccw_quarter_turn() {
-        let v = Vec2::new(1.0, 0.0);
-        assert_eq!(v.perp(), Vec2::new(0.0, 1.0));
-        assert_eq!(v.perp().perp(), -v);
     }
 
     #[test]

@@ -116,15 +116,6 @@ pub fn k_hop_ball(g: &Csr, src: usize, r: u32) -> Vec<usize> {
     out
 }
 
-/// The *ring* `N(v)^r ∖ N(v)^{r−1}`: nodes at hop distance exactly `r`.
-/// Sorted ascending. `r = 0` yields `{src}`.
-pub fn k_hop_ring(g: &Csr, src: usize, r: u32) -> Vec<usize> {
-    let dist = hop_distances(g, src);
-    let mut out: Vec<usize> = (0..g.n()).filter(|&v| dist[v] == r).collect();
-    out.sort_unstable();
-    out
-}
-
 /// Multi-source ball: nodes within hop distance `r` of *any* source.
 /// Sorted ascending. Used when Algorithm 2 removes `N(Γ)^1`-style unions.
 pub fn multi_source_ball(g: &Csr, sources: &[usize], r: u32) -> Vec<usize> {
@@ -161,14 +152,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_is_exact_distance() {
-        let g = path_plus_isolate();
-        assert_eq!(k_hop_ring(&g, 0, 0), vec![0]);
-        assert_eq!(k_hop_ring(&g, 0, 2), vec![2]);
-        assert_eq!(k_hop_ring(&g, 0, 5), Vec::<usize>::new());
-    }
-
-    #[test]
     fn ball_on_isolated_node() {
         let g = path_plus_isolate();
         assert_eq!(k_hop_ball(&g, 5, 3), vec![5]);
@@ -198,80 +181,5 @@ mod tests {
         scratch.multi_ball_into(&g, &[0, 6, 6], 1, &mut out);
         assert_eq!(out, multi_source_ball(&g, &[0, 6, 6], 1));
         assert_eq!(scratch.take_allocs(), 0, "warm scratch must not allocate");
-    }
-
-    #[test]
-    fn ball_matches_ring_union() {
-        let g = Csr::from_edges(7, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6)]);
-        for r in 0..5u32 {
-            let mut union: Vec<usize> = (0..=r).flat_map(|i| k_hop_ring(&g, 0, i)).collect();
-            union.sort_unstable();
-            assert_eq!(k_hop_ball(&g, 0, r), union, "r={r}");
-        }
-    }
-}
-
-/// Eccentricity of `src`: the greatest hop distance to any node reachable
-/// from it (`0` for an isolated node).
-pub fn eccentricity(g: &Csr, src: usize) -> u32 {
-    hop_distances(g, src)
-        .into_iter()
-        .filter(|&d| d != u32::MAX)
-        .max()
-        .unwrap_or(0)
-}
-
-/// `(diameter, radius)` over the *largest distances within components*:
-/// the maximum and minimum eccentricity across all nodes. Disconnected
-/// pairs are ignored (their distance is infinite); the empty graph yields
-/// `(0, 0)`.
-///
-/// Used to sanity-check Algorithm 3's TTL choice: a result flood with TTL
-/// `r̄+1+2c+2` reaches everything it must as long as the relevant
-/// distances stay below it, and `diameter` bounds them all.
-pub fn diameter_radius(g: &Csr) -> (u32, u32) {
-    let mut diameter = 0;
-    let mut radius = u32::MAX;
-    for v in 0..g.n() {
-        let e = eccentricity(g, v);
-        diameter = diameter.max(e);
-        radius = radius.min(e);
-    }
-    if g.n() == 0 {
-        (0, 0)
-    } else {
-        (diameter, radius)
-    }
-}
-
-#[cfg(test)]
-mod eccentricity_tests {
-    use super::*;
-
-    #[test]
-    fn path_diameter_and_radius() {
-        let g = Csr::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
-        assert_eq!(eccentricity(&g, 0), 4);
-        assert_eq!(eccentricity(&g, 2), 2);
-        assert_eq!(diameter_radius(&g), (4, 2));
-    }
-
-    #[test]
-    fn star_has_radius_one() {
-        let g = Csr::from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
-        assert_eq!(diameter_radius(&g), (2, 1));
-    }
-
-    #[test]
-    fn disconnected_components_measured_separately() {
-        let g = Csr::from_edges(5, &[(0, 1), (2, 3)]);
-        // isolated node 4 has eccentricity 0 → radius 0
-        assert_eq!(diameter_radius(&g), (1, 0));
-    }
-
-    #[test]
-    fn empty_graph() {
-        let g = Csr::from_edges(0, &[]);
-        assert_eq!(diameter_radius(&g), (0, 0));
     }
 }

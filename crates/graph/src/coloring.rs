@@ -1,80 +1,12 @@
-//! Graph colouring.
+//! Graph-colouring checks.
 //!
 //! Colorwave (Waldrop–Engels–Sarma, the paper's CA baseline) seeks a proper
 //! colouring of the interference graph — each colour class is an
 //! independent set usable as one time slot. The distributed, randomised
 //! Colorwave protocol itself lives in `rfid-core::colorwave`; this module
-//! provides the deterministic colouring primitives it is measured against
-//! and the validity check both share.
+//! provides the validity check and colour count its tests use.
 
 use crate::csr::Csr;
-
-/// First-fit greedy colouring in the given node `order`. Returns one colour
-/// per node, colours dense in `0..max+1`.
-///
-/// Uses at most `Δ + 1` colours for any order (Δ = max degree).
-pub fn greedy_coloring(g: &Csr, order: &[usize]) -> Vec<usize> {
-    assert_eq!(order.len(), g.n(), "order must permute all nodes");
-    let n = g.n();
-    let mut color = vec![usize::MAX; n];
-    let mut forbidden = vec![usize::MAX; n.max(1)]; // stamp per colour
-    for (stamp, &v) in order.iter().enumerate() {
-        for &t in g.neighbors(v) {
-            let c = color[t as usize];
-            if c != usize::MAX {
-                forbidden[c] = stamp;
-            }
-        }
-        let mut c = 0;
-        while forbidden[c] == stamp {
-            c += 1;
-        }
-        color[v] = c;
-    }
-    color
-}
-
-/// DSATUR colouring (Brélaz): always colour the node with the highest
-/// *saturation* (number of distinct neighbour colours), breaking ties by
-/// degree then id. Typically uses noticeably fewer colours than first-fit
-/// on geometric graphs.
-#[allow(clippy::needless_range_loop)] // `v` indexes `color` and `neighbor_colors` in parallel
-pub fn dsatur(g: &Csr) -> Vec<usize> {
-    let n = g.n();
-    let mut color = vec![usize::MAX; n];
-    let mut neighbor_colors: Vec<std::collections::BTreeSet<usize>> =
-        vec![std::collections::BTreeSet::new(); n];
-    for _ in 0..n {
-        // Select uncoloured node maximising (saturation, degree, -id).
-        let mut best: Option<usize> = None;
-        for v in 0..n {
-            if color[v] != usize::MAX {
-                continue;
-            }
-            best = match best {
-                None => Some(v),
-                Some(b) => {
-                    let key = |x: usize| (neighbor_colors[x].len(), g.degree(x));
-                    if key(v) > key(b) {
-                        Some(v)
-                    } else {
-                        Some(b)
-                    }
-                }
-            };
-        }
-        let v = best.expect("loop runs exactly n times");
-        let mut c = 0;
-        while neighbor_colors[v].contains(&c) {
-            c += 1;
-        }
-        color[v] = c;
-        for &t in g.neighbors(v) {
-            neighbor_colors[t as usize].insert(c);
-        }
-    }
-    color
-}
 
 /// `true` iff no edge is monochromatic and every node is coloured.
 pub fn is_proper_coloring(g: &Csr, color: &[usize]) -> bool {
@@ -106,46 +38,6 @@ mod tests {
     }
 
     #[test]
-    fn greedy_is_proper_on_cycle() {
-        let g = cycle5();
-        let order: Vec<usize> = (0..5).collect();
-        let c = greedy_coloring(&g, &order);
-        assert!(is_proper_coloring(&g, &c));
-        // Odd cycle needs 3 colours; greedy uses at most Δ+1 = 3.
-        assert_eq!(num_colors(&c), 3);
-    }
-
-    #[test]
-    fn dsatur_is_proper_and_compact() {
-        let g = cycle5();
-        let c = dsatur(&g);
-        assert!(is_proper_coloring(&g, &c));
-        assert_eq!(num_colors(&c), 3);
-        // Bipartite graph: DSATUR is exact (2 colours).
-        let b = Csr::from_edges(6, &[(0, 3), (0, 4), (1, 4), (1, 5), (2, 5)]);
-        let c = dsatur(&b);
-        assert!(is_proper_coloring(&b, &c));
-        assert_eq!(num_colors(&c), 2);
-    }
-
-    #[test]
-    fn greedy_bounded_by_max_degree_plus_one() {
-        // Random-ish dense graph.
-        let edges: Vec<(usize, usize)> = (0..12)
-            .flat_map(|a| {
-                ((a + 1)..12)
-                    .filter(move |b| (a * 7 + b * 5) % 3 == 0)
-                    .map(move |b| (a, b))
-            })
-            .collect();
-        let g = Csr::from_edges(12, &edges);
-        let order: Vec<usize> = (0..12).rev().collect();
-        let c = greedy_coloring(&g, &order);
-        assert!(is_proper_coloring(&g, &c));
-        assert!(num_colors(&c) <= g.max_degree() + 1);
-    }
-
-    #[test]
     fn proper_coloring_rejects_bad_inputs() {
         let g = cycle5();
         assert!(!is_proper_coloring(&g, &[0, 0, 1, 0, 1])); // edge (0,1) clash
@@ -158,15 +50,5 @@ mod tests {
         let g = Csr::from_edges(0, &[]);
         assert!(is_proper_coloring(&g, &[]));
         assert_eq!(num_colors(&[]), 0);
-        let c = dsatur(&g);
-        assert!(c.is_empty());
-    }
-
-    #[test]
-    fn edgeless_graph_uses_one_color() {
-        let g = Csr::from_edges(4, &[]);
-        let c = dsatur(&g);
-        assert!(is_proper_coloring(&g, &c));
-        assert_eq!(num_colors(&c), 1);
     }
 }

@@ -30,16 +30,6 @@ pub fn connected_components(g: &Csr) -> (Vec<usize>, usize) {
     (label, next)
 }
 
-/// The nodes of each component, sorted, indexed by component id.
-pub fn component_members(g: &Csr) -> Vec<Vec<usize>> {
-    let (labels, count) = connected_components(g);
-    let mut out = vec![Vec::new(); count];
-    for (v, &c) in labels.iter().enumerate() {
-        out[c].push(v);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,8 +60,7 @@ mod tests {
         assert_eq!(labels[4], labels[5]);
         assert_ne!(labels[0], labels[3]);
         assert_ne!(labels[0], labels[4]);
-        let members = component_members(&g);
-        assert_eq!(members, vec![vec![0, 1, 2], vec![3], vec![4, 5]]);
+        assert_eq!(labels, vec![0, 0, 0, 1, 2, 2]);
     }
 
     #[test]

@@ -13,10 +13,11 @@
 //! * a compact CSR ([`Csr`]) adjacency representation,
 //! * BFS `r`-hop neighbourhoods (`N(v)^r` in the paper's notation),
 //! * connected components,
-//! * greedy and DSATUR colouring (Colorwave's proper-colouring target),
+//! * a proper-colouring check (Colorwave's target),
 //! * degeneracy orderings (used by branch-and-bound pruning),
 //! * an exact maximum-weight independent-set solver for *additive* weights,
-//!   used as a unit-test oracle for the schedulers' non-additive search.
+//!   used as a unit-test oracle for the schedulers' non-additive search,
+//! * the growth function `f(r)` behind the Theorem 3/5 premise check.
 
 pub mod bfs;
 pub mod coloring;
@@ -26,8 +27,8 @@ pub mod degeneracy;
 pub mod growth;
 pub mod mwis;
 
-pub use bfs::{diameter_radius, eccentricity, hop_distances, k_hop_ball, k_hop_ring, BfsScratch};
-pub use coloring::{dsatur, greedy_coloring, is_proper_coloring};
+pub use bfs::{hop_distances, k_hop_ball, BfsScratch};
+pub use coloring::is_proper_coloring;
 pub use components::connected_components;
 pub use csr::Csr;
 pub use degeneracy::degeneracy_order;

@@ -1,6 +1,6 @@
 //! Reader identity and per-reader view.
 
-use rfid_geometry::{Disk, Point};
+use rfid_geometry::Point;
 use serde::{Deserialize, Serialize};
 
 /// Index of a reader within its [`Deployment`](crate::Deployment)
@@ -24,16 +24,6 @@ pub struct Reader {
 }
 
 impl Reader {
-    /// The interference disk `O(v_i)`.
-    pub fn interference_disk(&self) -> Disk {
-        Disk::new(self.pos, self.interference_radius)
-    }
-
-    /// The interrogation disk.
-    pub fn interrogation_disk(&self) -> Disk {
-        Disk::new(self.pos, self.interrogation_radius)
-    }
-
     /// `true` iff the tag position is inside this reader's interrogation
     /// region (closed disk).
     pub fn covers(&self, tag: Point) -> bool {
@@ -91,13 +81,5 @@ mod tests {
         assert!(!a.independent(&b));
         let c = reader(2, 4.0 + 1e-9, 3.0, 2.0);
         assert!(a.independent(&c));
-    }
-
-    #[test]
-    fn disks_reflect_radii() {
-        let r = reader(3, 1.0, 7.0, 4.0);
-        assert_eq!(r.interference_disk().radius, 7.0);
-        assert_eq!(r.interrogation_disk().radius, 4.0);
-        assert_eq!(r.interference_disk().center, r.pos);
     }
 }

@@ -50,7 +50,7 @@ impl<N: Node> Network<N> {
     /// independently with probability `p` (seeded — reproducible). Dropped
     /// messages still count in [`NetStats::messages`] (the sender paid for
     /// them) and are tallied in [`NetStats::dropped`].
-    pub fn with_loss(mut self, p: f64, seed: u64) -> Self {
+    fn with_loss(mut self, p: f64, seed: u64) -> Self {
         assert!(
             (0.0..=1.0).contains(&p),
             "loss probability must be in [0, 1]"
@@ -62,17 +62,16 @@ impl<N: Node> Network<N> {
     /// Enables bounded asynchrony: each message is independently delayed
     /// by an extra `0..=max_extra` rounds beyond the synchronous one
     /// (seeded — reproducible). `max_extra = 0` is the synchronous model.
-    pub fn with_delay(mut self, max_extra: u64, seed: u64) -> Self {
+    fn with_delay(mut self, max_extra: u64, seed: u64) -> Self {
         self.delay = Some((max_extra, StdRng::seed_from_u64(seed)));
         self
     }
 
-    /// Installs a unified [`FaultPlan`]: its loss and delay knobs are
-    /// wired to the same seeded models as [`with_loss`](Self::with_loss) /
-    /// [`with_delay`](Self::with_delay) (derived from the plan seed), and
-    /// its crashes and partitions are consulted every round. Installing
-    /// [`FaultPlan::none()`] leaves execution byte-identical to an
-    /// unfaulted network.
+    /// Installs a [`FaultPlan`], the network's only fault-injection path:
+    /// its loss and delay are drawn from seeded streams derived from the
+    /// plan seed, and its crashes and partitions are consulted every round.
+    /// Installing [`FaultPlan::none()`] leaves execution byte-identical to
+    /// an unfaulted network.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         if plan.loss() > 0.0 {
             self = self.with_loss(plan.loss(), plan.seed());

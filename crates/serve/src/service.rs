@@ -852,11 +852,6 @@ impl Service {
         self.inner.recorder.snapshot().to_json()
     }
 
-    /// `true` once shutdown has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.inner.shutting_down.load(Ordering::SeqCst)
-    }
-
     /// Stops the service. With `drain == true`, queued jobs are solved
     /// before the workers exit (graceful "drain, then stop"); otherwise
     /// pending jobs are failed fast with a `503` so their waiters return

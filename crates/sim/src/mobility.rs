@@ -63,18 +63,6 @@ pub struct MobilityReport {
     pub remaining_unread: usize,
 }
 
-impl MobilityReport {
-    /// Epochs until everything reachable was served (or `None` if the run
-    /// ended first).
-    pub fn epochs_to_drain(&self) -> Option<usize> {
-        if self.remaining_unread == 0 {
-            Some(self.epochs.len())
-        } else {
-            None
-        }
-    }
-}
-
 /// Epoch-based simulation of a deployment with mobile readers and static
 /// tags.
 pub struct MobilitySim {
@@ -299,7 +287,6 @@ mod tests {
         let mut scheduler = make_scheduler(AlgorithmKind::LocalGreedy, 0);
         let report = s.run(scheduler.as_mut());
         assert_eq!(report.total_served, static_coverable);
-        assert!(report.epochs_to_drain().is_none() || report.remaining_unread == 0);
     }
 
     #[test]

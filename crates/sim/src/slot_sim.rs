@@ -12,7 +12,6 @@ use rand_chacha::ChaCha8Rng;
 use rfid_core::{covering_schedule_with, CoveringSchedule, McsOptions, OneShotScheduler};
 use rfid_model::interference::interference_graph;
 use rfid_model::{audit_activation, Coverage, Deployment, TagId, TagSet};
-use rfid_obs::{SlotMetrics, Subscriber};
 use rfid_protocols::{AntiCollisionProtocol, FramedAloha, TreeWalking};
 use serde::{Deserialize, Serialize};
 
@@ -113,32 +112,6 @@ impl<'a> SlotSimulator<'a> {
         )
         .expect("strict covering schedule diverged");
         self.replay(run.schedule, true)
-    }
-
-    /// [`run`](Self::run) with per-slot [`SlotMetrics`] collected and
-    /// scheduler instrumentation routed to `sub` (pass `None` for metrics
-    /// only). The schedule is bit-identical to an unobserved
-    /// [`run`](Self::run).
-    pub fn run_with_metrics(
-        &self,
-        scheduler: &mut dyn OneShotScheduler,
-        sub: Option<&dyn Subscriber>,
-    ) -> (SimReport, Vec<SlotMetrics>) {
-        let mut options = McsOptions::new()
-            .max_slots(self.max_slots)
-            .slot_metrics(true);
-        if let Some(s) = sub {
-            options = options.subscriber(s);
-        }
-        let run = covering_schedule_with(
-            self.deployment,
-            &self.coverage,
-            &self.graph,
-            scheduler,
-            &options,
-        )
-        .expect("strict covering schedule diverged");
-        (self.replay(run.schedule, true), run.slot_metrics)
     }
 
     /// Runs `scheduler` through the crash-tolerant covering-schedule loop

@@ -1,66 +1,17 @@
-//! Integration tests for the extension features: multi-channel,
-//! Q-learning, mobility, dynamic arrivals, timetables, and faulted
-//! distributed runs — all exercised through the public APIs together.
+//! Integration tests for the extension features: mobility, dynamic
+//! arrivals, timetables, and faulted distributed runs — all exercised
+//! through the public APIs together.
 
 use rfid_core::{
-    covering_schedule_with, make_scheduler, multichannel_covering_schedule, AlgorithmKind,
-    DistributedScheduler, McsOptions, MultiChannelGreedy, OneShotInput, OneShotScheduler,
-    QLearningScheduler,
+    covering_schedule_with, make_scheduler, AlgorithmKind, DistributedScheduler, McsOptions,
+    OneShotInput, OneShotScheduler,
 };
 use rfid_integration_tests::scenario;
 use rfid_model::interference::interference_graph;
 use rfid_model::{Coverage, TagSet};
+use rfid_netsim::FaultPlan;
 use rfid_sim::metrics::activation_churn;
 use rfid_sim::{run_dynamic, DynamicConfig, MobilityModel, MobilitySim, Timetable};
-
-#[test]
-fn multichannel_dominates_single_channel_end_to_end() {
-    for seed in 0..3u64 {
-        let d = scenario(25, 400, 15.0, 7.0).generate(seed);
-        let c = Coverage::build(&d);
-        let g = interference_graph(&d);
-        let unread = TagSet::all_unread(d.n_tags());
-        let input = OneShotInput::new(&d, &c, &g, &unread);
-        let w1 = {
-            let s = MultiChannelGreedy::new(1);
-            let a = s.schedule(&input);
-            s.weight_of(&input, &a)
-        };
-        let w3 = {
-            let s = MultiChannelGreedy::new(3);
-            let a = s.schedule(&input);
-            assert!(a.is_feasible(&g));
-            s.weight_of(&input, &a)
-        };
-        assert!(w3 >= w1, "seed {seed}: 3 channels {w3} < 1 channel {w1}");
-        // and the covering schedule is never longer
-        let m1 = multichannel_covering_schedule(&d, &c, &g, 1, 100_000);
-        let m3 = multichannel_covering_schedule(&d, &c, &g, 3, 100_000);
-        assert!(m3.size() <= m1.size(), "seed {seed}");
-        assert_eq!(m3.tags_served(), c.coverable_count());
-    }
-}
-
-#[test]
-fn qlearning_is_feasible_but_not_dominant() {
-    let mut ql_total = 0usize;
-    let mut alg1_total = 0usize;
-    for seed in 0..3u64 {
-        let d = scenario(25, 400, 14.0, 6.0).generate(seed);
-        let c = Coverage::build(&d);
-        let g = interference_graph(&d);
-        let unread = TagSet::all_unread(d.n_tags());
-        let input = OneShotInput::new(&d, &c, &g, &unread);
-        let ql = QLearningScheduler::seeded(seed).schedule(&input);
-        assert!(d.is_feasible(&ql), "seed {seed}");
-        ql_total += input.weight_of(&ql);
-        alg1_total += input.weight_of(&make_scheduler(AlgorithmKind::Ptas, seed).schedule(&input));
-    }
-    assert!(
-        alg1_total >= ql_total,
-        "PTAS ({alg1_total}) must dominate Q-learning ({ql_total}) in aggregate"
-    );
-}
 
 #[test]
 fn mobile_run_with_distributed_scheduler() {
@@ -137,8 +88,11 @@ fn faulted_distributed_stays_consistent_with_audit() {
     let g = interference_graph(&d);
     let unread = TagSet::all_unread(d.n_tags());
     let input = OneShotInput::new(&d, &c, &g, &unread);
-    let mut s = DistributedScheduler::default().with_loss(0.3, 11);
-    s.crashes = vec![(3, 2), (8, 5)];
+    let plan = FaultPlan::seeded(11)
+        .with_loss(0.3)
+        .with_crash(3, 2)
+        .with_crash(8, 5);
+    let mut s = DistributedScheduler::default().with_faults(plan);
     let set = s.schedule(&input);
     let audit = audit_activation(&d, &c, &set, &unread);
     assert!(
