@@ -13,9 +13,12 @@
 //! the request's deadline and flips the slot to *abandoned*, so a worker
 //! that later reaches the job can skip it (or publish the result to the
 //! cache anyway — the waiter is gone either way, but nothing hangs).
+//! The reactor does not block on a slot: [`ResponseSlot::try_take`]
+//! leaves it a [`Waker`] that [`ResponseSlot::fulfill`] wakes.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
+use std::task::Waker;
 use std::time::{Duration, Instant};
 
 /// Why [`WorkQueue::try_push`] rejected an item.
@@ -108,8 +111,9 @@ impl<T> WorkQueue<T> {
 }
 
 enum SlotState<T> {
-    /// No result yet; a waiter may still be blocked.
-    Pending,
+    /// No result yet; a waiter may still be blocked, and the last
+    /// [`try_take`](ResponseSlot::try_take) left its waker here.
+    Pending(Option<Waker>),
     /// The waiter gave up (deadline); a late result is discarded.
     Abandoned,
     /// The result is in, not yet collected.
@@ -132,24 +136,28 @@ impl<T> ResponseSlot<T> {
     /// An empty (pending) slot.
     pub fn new() -> Self {
         ResponseSlot {
-            state: Mutex::new(SlotState::Pending),
+            state: Mutex::new(SlotState::Pending(None)),
             ready: Condvar::new(),
         }
     }
 
-    /// Delivers the result. Returns `false` when the waiter already
-    /// abandoned the slot (the value is dropped).
+    /// Delivers the result and wakes the waker a pending
+    /// [`try_take`](Self::try_take) left, once the lock is released.
+    /// Returns `false` when the waiter already abandoned the slot (the
+    /// value is dropped); a double fulfill keeps the first.
     pub fn fulfill(&self, value: T) -> bool {
         let mut state = self.state.lock().expect("slot poisoned");
-        match *state {
-            SlotState::Pending => {
-                *state = SlotState::Done(value);
-                self.ready.notify_all();
-                true
-            }
-            SlotState::Abandoned => false,
-            SlotState::Done(_) => false, // double-fulfill keeps the first
+        let SlotState::Pending(waker) = &mut *state else {
+            return false;
+        };
+        let waker = waker.take();
+        *state = SlotState::Done(value);
+        self.ready.notify_all();
+        drop(state);
+        if let Some(waker) = waker {
+            waker.wake();
         }
+        true
     }
 
     /// `true` once the waiter has given up on this slot.
@@ -160,19 +168,25 @@ impl<T> ResponseSlot<T> {
         )
     }
 
-    /// Non-blocking poll: takes the result if it is in, else returns
-    /// `None` with the slot left pending. This is the reactor's wait
-    /// primitive — the event loop polls slots between socket scans
-    /// instead of parking a thread per request.
-    pub fn try_take(&self) -> Option<T> {
+    /// Non-blocking take, in the shape of `Future::poll`: the result if
+    /// it is in; else `None`, with the slot left pending and `waker`
+    /// stored for [`fulfill`](Self::fulfill) to wake. This is the
+    /// reactor's wait primitive — the event loop sleeps in `poll(2)`
+    /// instead of parking a thread per request, and the wake ends it.
+    pub fn try_take(&self, waker: &Waker) -> Option<T> {
         let mut state = self.state.lock().expect("slot poisoned");
-        if let SlotState::Done(_) = *state {
-            match std::mem::replace(&mut *state, SlotState::Abandoned) {
+        match &mut *state {
+            SlotState::Pending(stored) => {
+                if !stored.as_ref().is_some_and(|w| w.will_wake(waker)) {
+                    *stored = Some(waker.clone());
+                }
+                None
+            }
+            SlotState::Abandoned => None,
+            SlotState::Done(_) => match std::mem::replace(&mut *state, SlotState::Abandoned) {
                 SlotState::Done(value) => Some(value),
                 _ => unreachable!("matched Done above"),
-            }
-        } else {
-            None
+            },
         }
     }
 
@@ -180,7 +194,7 @@ impl<T> ResponseSlot<T> {
     /// is discarded, exactly as after a [`wait`](Self::wait) timeout.
     pub fn abandon(&self) {
         let mut state = self.state.lock().expect("slot poisoned");
-        if matches!(*state, SlotState::Pending) {
+        if matches!(*state, SlotState::Pending(_)) {
             *state = SlotState::Abandoned;
         }
     }
@@ -221,6 +235,7 @@ impl<T> ResponseSlot<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     #[test]
@@ -302,11 +317,40 @@ mod tests {
     #[test]
     fn try_take_polls_without_blocking() {
         let slot = ResponseSlot::new();
-        assert_eq!(slot.try_take(), None);
-        assert_eq!(slot.try_take(), None, "polling leaves the slot pending");
+        let waker = Waker::noop();
+        assert_eq!(slot.try_take(waker), None);
+        assert_eq!(
+            slot.try_take(waker),
+            None,
+            "polling leaves the slot pending"
+        );
         assert!(slot.fulfill(9));
-        assert_eq!(slot.try_take(), Some(9));
-        assert_eq!(slot.try_take(), None, "one-shot: taken at most once");
+        assert_eq!(slot.try_take(waker), Some(9));
+        assert_eq!(slot.try_take(waker), None, "one-shot: taken at most once");
+    }
+
+    /// Counts its wakes.
+    struct CountingWaker(AtomicUsize);
+
+    impl std::task::Wake for CountingWaker {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn fulfill_wakes_the_waker_a_pending_take_left() {
+        let slot = ResponseSlot::new();
+        let wakes = Arc::new(CountingWaker(AtomicUsize::new(0)));
+        let waker = Waker::from(Arc::clone(&wakes));
+        assert_eq!(slot.try_take(&waker), None);
+        assert_eq!(slot.try_take(&waker), None, "re-polling stores one waker");
+        assert_eq!(wakes.0.load(Ordering::SeqCst), 0);
+        assert!(slot.fulfill(5));
+        assert_eq!(wakes.0.load(Ordering::SeqCst), 1, "one wake per fulfill");
+        assert!(!slot.fulfill(6), "double fulfill keeps the first");
+        assert_eq!(wakes.0.load(Ordering::SeqCst), 1);
+        assert_eq!(slot.try_take(&waker), Some(5));
     }
 
     #[test]
@@ -315,6 +359,6 @@ mod tests {
         slot.abandon();
         assert!(slot.is_abandoned());
         assert!(!slot.fulfill(42), "late result must be discarded");
-        assert_eq!(slot.try_take(), None);
+        assert_eq!(slot.try_take(Waker::noop()), None);
     }
 }

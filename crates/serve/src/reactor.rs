@@ -5,9 +5,8 @@
 //! scheduler slot per idle socket, a 200 ms poll tick per read). This
 //! module replaces that with **one** event thread over nonblocking
 //! `std::net` sockets (per the vendored-offline policy: no mio, no
-//! epoll binding — a readiness *scan* with an idle sleep, which on
-//! loopback benches within noise of a real poller for the connection
-//! counts we target):
+//! epoll binding — `poll(2)`, declared here, which std's libc already
+//! links):
 //!
 //! * Each connection owns a read buffer and a write buffer. The loop
 //!   try-reads every socket, slices complete JSON lines out of the read
@@ -23,17 +22,23 @@
 //!   undelivered replies is not read from until its queue drains, so a
 //!   client that floods requests fills its own TCP window, not our
 //!   memory.
+//! * When a full scan makes no progress the loop blocks in `poll(2)`
+//!   over the sockets that can make progress and a wake socket, until
+//!   the earliest deadline of a pending reply (no timeout without one).
+//!   A pending reply hands the loop's [`Waker`] to what it waits on;
+//!   waking it writes one byte to the wake socket.
 //!
 //! The worker pool is untouched: solving still happens on
-//! [`crate::WorkQueue`] workers; the reactor polls each job's
-//! [`crate::ResponseSlot`] (via the handler's pending closure) between
-//! socket scans instead of blocking a thread on it.
+//! [`crate::WorkQueue`] workers; a pending reply takes its job's
+//! [`crate::ResponseSlot`] with the loop's waker, and the worker's
+//! `fulfill` wakes the loop, so the reply is flushed at once.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::task::Waker;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -63,12 +68,6 @@ const MAX_IOV: usize = 16;
 /// remaining connections are dropped.
 const DRAIN_CAP: Duration = Duration::from_secs(10);
 
-/// Sleep when a full scan made no progress (no readable socket, no
-/// writable byte, no resolved reply). Short enough that a worker
-/// finishing a solve is picked up promptly; long enough that an idle
-/// daemon burns no measurable CPU.
-const IDLE_SLEEP: Duration = Duration::from_micros(500);
-
 /// One response, possibly not ready yet.
 pub enum Reply {
     /// The full response frame (newline-terminated), ready to send.
@@ -80,9 +79,11 @@ pub enum Reply {
     /// per-reply `String`, which is what makes the request-by-key hit
     /// path serde- and memcpy-free on the server side.
     Spliced(SplicedFrame),
-    /// The response is being produced (a queued solve); the reactor
-    /// polls the object each pass until it yields the frame.
-    Pending(Box<dyn PendingReply>),
+    /// The response is being produced (a queued solve or forward). The
+    /// reactor polls the reply while it heads its connection's FIFO:
+    /// again each time the waker it was given is woken, and at the
+    /// deadline, if any, by which the reply must yield (its `504`).
+    Pending(Box<dyn PendingReply>, Option<Instant>),
 }
 
 /// The segments of a [`Reply::Spliced`] frame: bytes on the wire are
@@ -96,18 +97,21 @@ pub struct SplicedFrame {
     pub suffix: &'static str,
 }
 
-/// A reply still in flight: polled by the event loop between socket
-/// scans. Implementations must be cheap (a `try_take` on a slot plus a
-/// deadline check) and must eventually yield — the deadline path exists
-/// precisely so an abandoned solve still answers with a `504` frame.
+/// A reply still in flight, polled in the shape of `Future::poll`.
+/// Implementations must be cheap (a `try_take` on a slot plus a
+/// deadline check), must arrange for `waker` to be woken when they can
+/// yield, and must yield once their [`Reply::Pending`] deadline passes:
+/// the loop sleeps until one of the two, so an abandoned solve still
+/// answers with a `504` frame.
 pub trait PendingReply: Send {
-    /// `Some(frame)` once the response bytes are ready.
-    fn poll(&mut self) -> Option<String>;
+    /// `Some(frame)` once the response bytes are ready; `None` after
+    /// handing `waker` to whatever will make them ready.
+    fn poll(&mut self, waker: &Waker) -> Option<String>;
 }
 
-impl<F: FnMut() -> Option<String> + Send> PendingReply for F {
-    fn poll(&mut self) -> Option<String> {
-        self()
+impl<F: FnMut(&Waker) -> Option<String> + Send> PendingReply for F {
+    fn poll(&mut self, waker: &Waker) -> Option<String> {
+        self(waker)
     }
 }
 
@@ -308,6 +312,8 @@ struct Flags {
 /// flushes and exits.
 pub struct Reactor {
     flags: Arc<Flags>,
+    /// Wakes the loop to see a flag change.
+    waker: Waker,
     addr: SocketAddr,
     handle: Option<JoinHandle<()>>,
 }
@@ -325,11 +331,14 @@ impl Reactor {
             finish: AtomicBool::new(false),
         });
         let loop_flags = Arc::clone(&flags);
+        let (idle, waker) = idle::Idle::new()?;
+        let loop_waker = waker.clone();
         let handle = std::thread::Builder::new()
             .name("serve-reactor".into())
-            .spawn(move || event_loop(listener, handler, &loop_flags))?;
+            .spawn(move || event_loop(listener, handler, &loop_flags, idle, &loop_waker))?;
         Ok(Reactor {
             flags,
+            waker,
             addr,
             handle: Some(handle),
         })
@@ -344,18 +353,15 @@ impl Reactor {
     /// queued replies keep flushing. Idempotent.
     pub fn pause_intake(&self) {
         self.flags.stop.store(true, Ordering::SeqCst);
+        self.waker.wake_by_ref();
     }
 
     /// Ends the loop: intake stops, every pending reply is given one
     /// last poll (the handler's drain fallback answers for any still
     /// not ready), buffers are flushed (bounded by an internal cap) and
     /// the thread exits. Blocks until it has.
-    pub fn stop(mut self) {
-        self.flags.stop.store(true, Ordering::SeqCst);
-        self.flags.finish.store(true, Ordering::SeqCst);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+    pub fn stop(self) {
+        drop(self);
     }
 }
 
@@ -363,26 +369,38 @@ impl Drop for Reactor {
     fn drop(&mut self) {
         self.flags.stop.store(true, Ordering::SeqCst);
         self.flags.finish.store(true, Ordering::SeqCst);
+        self.waker.wake_by_ref();
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
     }
 }
 
-fn event_loop<H: FrameHandler>(listener: TcpListener, handler: Arc<H>, flags: &Flags) {
+fn event_loop<H: FrameHandler>(
+    listener: TcpListener,
+    handler: Arc<H>,
+    flags: &Flags,
+    mut idle: idle::Idle,
+    waker: &Waker,
+) {
     let mut conns: Vec<Conn> = Vec::new();
     let mut drain_started: Option<Instant> = None;
+    // An accept error other than `WouldBlock` or `ConnectionAborted`
+    // (EMFILE) leaves the listener readable; it sits out of the poll set
+    // until a connection closes, so a full fd table cannot spin the loop.
+    let mut accept_parked = false;
     loop {
         let finishing = flags.finish.load(Ordering::SeqCst);
         if finishing && drain_started.is_none() {
             drain_started = Some(Instant::now());
             for conn in &mut conns {
-                resolve_for_drain(conn, handler.as_ref());
+                resolve_for_drain(conn, handler.as_ref(), waker);
             }
         }
         let mut progress = false;
 
-        if !flags.stop.load(Ordering::SeqCst) {
+        let intake = !flags.stop.load(Ordering::SeqCst);
+        if intake && !accept_parked {
             loop {
                 match listener.accept() {
                     Ok((stream, _)) => {
@@ -394,28 +412,33 @@ fn event_loop<H: FrameHandler>(listener: TcpListener, handler: Arc<H>, flags: &F
                         progress = true;
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(_) => break, // transient (EMFILE, aborted handshake)
+                    Err(e) if e.kind() == ErrorKind::ConnectionAborted => continue,
+                    Err(_) => {
+                        accept_parked = true;
+                        break;
+                    }
                 }
             }
         }
 
-        let reading_allowed = !flags.stop.load(Ordering::SeqCst);
         for conn in &mut conns {
             if conn.dead {
                 continue;
             }
-            if reading_allowed {
+            if intake {
                 progress |= read_and_dispatch(conn, handler.as_ref());
             }
-            progress |= pump_replies(conn);
+            progress |= pump_replies(conn, waker);
             progress |= flush(conn);
         }
         // A connection is kept unless it died, or hit EOF with nothing
         // left to answer or parse.
+        let open = conns.len();
         conns.retain(|c| {
             let exhausted = c.eof && c.drained() && c.scanned >= c.rdbuf.len();
             !(c.dead || exhausted)
         });
+        accept_parked &= conns.len() == open;
 
         if finishing {
             let done = conns.iter().all(|c| c.drained());
@@ -427,7 +450,20 @@ fn event_loop<H: FrameHandler>(listener: TcpListener, handler: Arc<H>, flags: &F
             }
         }
         if !progress {
-            std::thread::sleep(IDLE_SLEEP);
+            // Only a FIFO head is ever polled, so only its deadline can
+            // end the wait; the drain has resolved every pending reply.
+            let deadline = match drain_started {
+                Some(t) => Some(t + DRAIN_CAP),
+                None => conns
+                    .iter()
+                    .filter_map(|c| match c.replies.front() {
+                        Some(Reply::Pending(_, deadline)) => *deadline,
+                        _ => None,
+                    })
+                    .min(),
+            };
+            let listener = (intake && !accept_parked).then_some(&listener);
+            idle.wait(listener, &conns, intake, deadline);
         }
     }
 }
@@ -518,11 +554,11 @@ fn reclaim_rdbuf(conn: &mut Conn) {
 /// Moves ready replies (in order) from the FIFO into the write queue.
 /// A pending head blocks everything behind it — that is the ordering
 /// guarantee. Spliced frames enqueue their payload by reference.
-fn pump_replies(conn: &mut Conn) -> bool {
+fn pump_replies(conn: &mut Conn, waker: &Waker) -> bool {
     let mut progress = false;
     while let Some(head) = conn.replies.front_mut() {
-        if let Reply::Pending(p) = head {
-            match p.poll() {
+        if let Reply::Pending(reply, _) = head {
+            match reply.poll(waker) {
                 Some(frame) => *head = Reply::Now(frame),
                 None => break,
             }
@@ -534,7 +570,7 @@ fn pump_replies(conn: &mut Conn) -> bool {
                 conn.out.push_shared(frame.payload);
                 conn.out.push_bytes(frame.suffix.as_bytes());
             }
-            Reply::Pending(_) => unreachable!("resolved above"),
+            Reply::Pending(..) => unreachable!("resolved above"),
         }
         progress = true;
     }
@@ -552,11 +588,149 @@ fn flush(conn: &mut Conn) -> bool {
 /// Final-drain policy: each pending reply gets one last poll; those
 /// still unresolved answer with the handler's fallback frame (the
 /// worker that would have fulfilled them is gone or going).
-fn resolve_for_drain<H: FrameHandler>(conn: &mut Conn, handler: &H) {
+fn resolve_for_drain<H: FrameHandler>(conn: &mut Conn, handler: &H, waker: &Waker) {
     for slot in conn.replies.iter_mut() {
-        if let Reply::Pending(p) = slot {
-            let frame = p.poll().unwrap_or_else(|| handler.drain_fallback());
+        if let Reply::Pending(reply, _) = slot {
+            let frame = reply
+                .poll(waker)
+                .unwrap_or_else(|| handler.drain_fallback());
             *slot = Reply::Now(frame);
+        }
+    }
+}
+
+/// The loop's wait after a scan that made no progress, and the wake
+/// that ends it.
+#[cfg(unix)]
+mod idle {
+    use super::{Conn, Waker, MAX_PIPELINE};
+    use std::ffi::{c_int, c_short, c_ulong};
+    use std::io::{Read, Write};
+    use std::net::TcpListener;
+    use std::os::fd::AsRawFd;
+    use std::os::unix::net::UnixStream;
+    use std::sync::Arc;
+    use std::time::Instant;
+
+    /// `struct pollfd` of `<poll.h>`.
+    #[repr(C)]
+    struct PollFd {
+        fd: c_int,
+        events: c_short,
+        revents: c_short,
+    }
+
+    const POLLIN: c_short = 0x1;
+    const POLLOUT: c_short = 0x4;
+
+    extern "C" {
+        /// `poll(2)`; `nfds_t` is `unsigned long` on Linux.
+        fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+    }
+
+    /// The write end of the wake socket. A wake writes one byte; a full
+    /// socket (`WouldBlock`) means a wake is already pending.
+    struct WakeSocket(UnixStream);
+
+    impl std::task::Wake for WakeSocket {
+        fn wake(self: Arc<Self>) {
+            self.wake_by_ref();
+        }
+
+        fn wake_by_ref(self: &Arc<Self>) {
+            let _ = (&self.0).write(&[1]);
+        }
+    }
+
+    /// The read end of the wake socket, and the poll set rebuilt before
+    /// each wait.
+    pub(super) struct Idle {
+        wake: UnixStream,
+        fds: Vec<PollFd>,
+    }
+
+    impl Idle {
+        /// The loop's half, and the waker that ends its wait.
+        pub(super) fn new() -> std::io::Result<(Idle, Waker)> {
+            let (wake, sender) = UnixStream::pair()?;
+            wake.set_nonblocking(true)?;
+            sender.set_nonblocking(true)?;
+            let waker = Waker::from(Arc::new(WakeSocket(sender)));
+            let fds = Vec::new();
+            Ok((Idle { wake, fds }, waker))
+        }
+
+        /// Blocks until the listener (when given) can accept, a
+        /// connection that can make progress is readable or writable,
+        /// the waker is woken, or `deadline` passes, then drains the
+        /// wake socket. A connection that wants neither is left out, so
+        /// a hung-up socket cannot end the wait. An interrupted or
+        /// failed `poll` returns at once: the caller scans again.
+        pub(super) fn wait(
+            &mut self,
+            listener: Option<&TcpListener>,
+            conns: &[Conn],
+            reading: bool,
+            deadline: Option<Instant>,
+        ) {
+            let wake = (self.wake.as_raw_fd(), POLLIN);
+            let listener = listener.map(|l| (l.as_raw_fd(), POLLIN));
+            // A socket at EOF polls readable forever.
+            let conns = conns.iter().map(|c| {
+                let read = reading && !c.eof && c.replies.len() < MAX_PIPELINE;
+                let events = if read { POLLIN } else { 0 };
+                let write = if c.out.is_empty() { 0 } else { POLLOUT };
+                (c.stream.as_raw_fd(), events | write)
+            });
+            self.fds.clear();
+            let set = [wake].into_iter().chain(listener).chain(conns);
+            for (fd, events) in set.filter(|&(_, events)| events != 0) {
+                self.fds.push(PollFd {
+                    fd,
+                    events,
+                    revents: 0,
+                });
+            }
+            // Rounded up: a wait that ends before the deadline would
+            // find nothing to do and wait again.
+            let timeout = deadline.map_or(-1, |at| {
+                let nanos = at.saturating_duration_since(Instant::now()).as_nanos();
+                nanos.div_ceil(1_000_000).min(c_int::MAX as u128) as c_int
+            });
+            // SAFETY: `fds` is a live, exclusively borrowed buffer of
+            // `fds.len()` `pollfd` structs; `poll` writes only `revents`.
+            unsafe { poll(self.fds.as_mut_ptr(), self.fds.len() as c_ulong, timeout) };
+            let mut sink = [0u8; 64];
+            while matches!((&self.wake).read(&mut sink), Ok(n) if n > 0) {}
+        }
+    }
+}
+
+/// Without `poll(2)` the loop sleeps between scans and nothing wakes it.
+#[cfg(not(unix))]
+mod idle {
+    use super::{Conn, Waker};
+    use std::net::TcpListener;
+    use std::time::{Duration, Instant};
+
+    /// Sleep when a full scan made no progress.
+    const IDLE_SLEEP: Duration = Duration::from_micros(500);
+
+    pub(super) struct Idle;
+
+    impl Idle {
+        pub(super) fn new() -> std::io::Result<(Idle, Waker)> {
+            Ok((Idle, Waker::noop().clone()))
+        }
+
+        pub(super) fn wait(
+            &mut self,
+            _listener: Option<&TcpListener>,
+            _conns: &[Conn],
+            _reading: bool,
+            _deadline: Option<Instant>,
+        ) {
+            std::thread::sleep(IDLE_SLEEP);
         }
     }
 }
@@ -567,14 +741,41 @@ mod tests {
     use std::io::{BufRead, BufReader};
     use std::sync::Mutex;
 
-    /// Echoes `ok:<line>`; `slow:<n>` answers after `n` polls; `key:<x>`
-    /// and `big` answer with spliced frames; `gated:<x>` answers once
-    /// the shared gate opens.
+    /// Echoes `ok:<line>`; `slow:<n>` answers after `n` polls, waking
+    /// the loop itself on each; `key:<x>` and `big` answer with spliced
+    /// frames; `gated:<x>` answers once the shared gate opens;
+    /// `timed:<ms>` answers at its deadline and is never woken.
     struct EchoHandler {
         /// Every line that reached `on_line`, in order.
         seen: Mutex<Vec<String>>,
-        /// While `false`, `gated:` replies stay pending.
-        gate: Arc<AtomicBool>,
+        /// While shut, `gated:` replies stay pending.
+        gate: Arc<Gate>,
+    }
+
+    /// A latch that `gated:` replies poll; opening it wakes the waker
+    /// the last poll left.
+    #[derive(Default)]
+    struct Gate {
+        open: AtomicBool,
+        waker: Mutex<Option<Waker>>,
+    }
+
+    impl Gate {
+        fn poll(&self, waker: &Waker) -> bool {
+            *self.waker.lock().unwrap() = Some(waker.clone());
+            self.open.load(Ordering::SeqCst)
+        }
+
+        fn open(&self) {
+            self.open.store(true, Ordering::SeqCst);
+            if let Some(waker) = self.waker.lock().unwrap().take() {
+                waker.wake();
+            }
+        }
+    }
+
+    fn pending(reply: impl FnMut(&Waker) -> Option<String> + Send + 'static) -> Reply {
+        Reply::Pending(Box::new(reply), None)
     }
 
     impl FrameHandler for EchoHandler {
@@ -584,22 +785,26 @@ mod tests {
             if let Some(n) = line.strip_prefix("slow:") {
                 let mut left: u32 = n.parse().unwrap();
                 let tag = line.clone();
-                return Reply::Pending(Box::new(move || {
+                return pending(move |waker| {
                     if left == 0 {
                         Some(format!("ok:{tag}\n"))
                     } else {
                         left -= 1;
+                        waker.wake_by_ref();
                         None
                     }
-                }));
+                });
             }
             if let Some(tag) = line.strip_prefix("gated:") {
                 let gate = Arc::clone(&self.gate);
                 let tag = tag.to_string();
-                return Reply::Pending(Box::new(move || {
-                    gate.load(Ordering::SeqCst)
-                        .then(|| format!("ok:gated:{tag}\n"))
-                }));
+                return pending(move |waker| gate.poll(waker).then(|| format!("ok:gated:{tag}\n")));
+            }
+            if let Some(ms) = line.strip_prefix("timed:") {
+                let at = Instant::now() + Duration::from_millis(ms.parse().unwrap());
+                let tag = line.clone();
+                let reply = move |_: &Waker| (Instant::now() >= at).then(|| format!("ok:{tag}\n"));
+                return Reply::Pending(Box::new(reply), Some(at));
             }
             if let Some(tag) = line.strip_prefix("key:") {
                 return Reply::Spliced(SplicedFrame {
@@ -627,7 +832,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let handler = Arc::new(EchoHandler {
             seen: Mutex::new(Vec::new()),
-            gate: Arc::new(AtomicBool::new(false)),
+            gate: Arc::default(),
         });
         let reactor = Reactor::spawn(listener, Arc::clone(&handler)).unwrap();
         let addr = reactor.addr().to_string();
@@ -672,6 +877,28 @@ mod tests {
                 "ok:fast3"
             ]
         );
+        reactor.stop();
+    }
+
+    #[test]
+    fn an_unwoken_pending_head_answers_at_its_deadline() {
+        let (reactor, addr, _) = echo_reactor();
+        let stream = TcpStream::connect(&addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut reader = BufReader::new(stream);
+        let sent = Instant::now();
+        reader.get_mut().write_all(b"timed:40\nafter\n").unwrap();
+        let mut line = String::new();
+        reader
+            .read_line(&mut line)
+            .expect("the deadline ends the wait");
+        assert_eq!(line, "ok:timed:40\n");
+        assert!(sent.elapsed() >= Duration::from_millis(40));
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        assert_eq!(line, "ok:after\n");
         reactor.stop();
     }
 
@@ -771,7 +998,7 @@ mod tests {
             wr.write_all(batch.as_bytes()).unwrap();
         });
         std::thread::sleep(Duration::from_millis(50));
-        handler.gate.store(true, Ordering::SeqCst);
+        handler.gate.open();
         let mut lines = Vec::new();
         for _ in 0..total {
             let mut line = String::new();

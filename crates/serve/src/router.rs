@@ -45,6 +45,7 @@ use rfid_core::SchedulerRegistry;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::task::Waker;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -207,10 +208,11 @@ impl RouteHandler {
         match shared.forward(shard, frame) {
             Ok(slot) => {
                 let shared = Arc::clone(shared);
-                Reply::Pending(Box::new(move || {
-                    slot.try_take()
+                let reply = move |waker: &Waker| {
+                    slot.try_take(waker)
                         .map(|result| forwarded_frame(&shared, shard, result))
-                }))
+                };
+                Reply::Pending(Box::new(reply), None)
             }
             Err(e) => Reply::Now(encode_frame(&admission_error(e))),
         }
@@ -241,9 +243,9 @@ impl RouteHandler {
         }
         // Sum the acks as they land; an unreachable shard contributes 0.
         let mut applied = 0u64;
-        Reply::Pending(Box::new(move || {
+        let reply = move |waker: &Waker| {
             while let Some(slot) = slots.last() {
-                match slot.try_take() {
+                match slot.try_take(waker) {
                     Some(Ok(Response::GossipAck { applied: n })) => {
                         applied += n;
                         slots.pop();
@@ -255,7 +257,8 @@ impl RouteHandler {
                 }
             }
             Some(encode_frame(&Response::GossipAck { applied }))
-        }))
+        };
+        Reply::Pending(Box::new(reply), None)
     }
 
     fn route_stats(&self) -> Reply {
@@ -269,9 +272,9 @@ impl RouteHandler {
         }
         let mut total = ServiceStats::default();
         let mut metrics: Vec<String> = Vec::new();
-        Reply::Pending(Box::new(move || {
+        let reply = move |waker: &Waker| {
             while let Some(slot) = slots.last() {
-                match slot.try_take() {
+                match slot.try_take(waker) {
                     Some(Ok(Response::Stats { stats, metrics: m })) => {
                         add_stats(&mut total, &stats);
                         metrics.push(m);
@@ -287,7 +290,8 @@ impl RouteHandler {
                 stats: total,
                 metrics: format!("[{}]", metrics.join(",")),
             }))
-        }))
+        };
+        Reply::Pending(Box::new(reply), None)
     }
 }
 

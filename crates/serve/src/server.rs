@@ -4,7 +4,10 @@
 //! daemon is event-driven: one [`crate::reactor`] thread owns every
 //! connection (nonblocking sockets, per-connection read/write buffers,
 //! request pipelining with strictly ordered responses) and the
-//! [`Service`] worker pool stays the solve executor behind it. The old
+//! [`Service`] worker pool stays the solve executor behind it. A queued
+//! solve answers through a pending reply: the worker's fulfill wakes
+//! the reactor out of `poll(2)`, and a request's `deadline_ms` bounds
+//! the reactor's wait, so the `504` is sent on time. The old
 //! thread-per-connection model — a parked thread and a 200 ms poll tick
 //! per socket — is gone. Its client is [`crate::TcpClient`].
 //!
@@ -24,6 +27,7 @@ use crate::reactor::{FrameHandler, Reactor, Reply, SplicedFrame};
 use crate::service::{ScheduleReply, ServeConfig, Service, ServiceError, Submission, Target};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::{Arc, Condvar, Mutex};
+use std::task::Waker;
 use std::time::{Duration, Instant};
 
 struct Shared {
@@ -44,7 +48,7 @@ impl Shared {
 
 /// The daemon's [`FrameHandler`]: admission runs inline on the event
 /// thread (cache hits and errors answer immediately), queued solves
-/// become pending replies the reactor polls.
+/// become pending replies that wake the reactor when they land.
 struct ServeHandler {
     shared: Arc<Shared>,
 }
@@ -52,8 +56,8 @@ struct ServeHandler {
 impl ServeHandler {
     /// The one action of every schedule-producing frame — full, delta
     /// or key, scanned or decoded: gate the version, submit the target,
-    /// and answer now or with a pending reply that polls the slot until
-    /// the result lands or `deadline_ms` passes.
+    /// and answer now or with a pending reply that the slot's fulfill
+    /// wakes, or that answers `504` once `deadline_ms` passes.
     fn submit(
         &self,
         v: Option<u32>,
@@ -70,23 +74,25 @@ impl ServeHandler {
         };
         let service = self.shared.service.clone();
         let give_up_at = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-        Reply::Pending(Box::new(move || {
-            if let Some(result) = slot.try_take() {
+        let reply = move |waker: &Waker| {
+            if let Some(result) = slot.try_take(waker) {
                 return Some(schedule_frame(result));
             }
-            // No deadline, or not reached yet: keep polling.
+            // No deadline, or not reached yet: the worker's fulfill (or
+            // the reactor, at `give_up_at`) polls again.
             if Instant::now() < give_up_at? {
                 return None;
             }
             slot.abandon();
             // The worker may have fulfilled between the poll and the
             // abandon — honour that result.
-            let result = slot.try_take().unwrap_or_else(|| {
+            let result = slot.try_take(waker).unwrap_or_else(|| {
                 let waited = format!("{:?}", deadline_ms.map(Duration::from_millis));
                 Err(service.deadline_expired(&waited))
             });
             Some(schedule_frame(result))
-        }))
+        };
+        Reply::Pending(Box::new(reply), give_up_at)
     }
 }
 

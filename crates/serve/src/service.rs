@@ -238,8 +238,9 @@ pub enum Submission {
     /// Admitted: the job is queued behind a worker (leader) or
     /// coalesced onto an identical in-flight solve (follower). The slot
     /// delivers the result; poll it with
-    /// [`ResponseSlot::try_take`](crate::queue::ResponseSlot::try_take)
-    /// or block on [`ResponseSlot::wait`](crate::queue::ResponseSlot::wait).
+    /// [`ResponseSlot::try_take`](crate::queue::ResponseSlot::try_take),
+    /// whose waker the fulfill wakes, or block on
+    /// [`ResponseSlot::wait`](crate::queue::ResponseSlot::wait).
     Queued(Arc<ResponseSlot<JobResult>>),
 }
 

@@ -7,7 +7,8 @@
 //!   is a pure function of the canonical job, never of cache state).
 //! * **Backpressure** — a full queue answers with a structured `429`,
 //!   it never hangs and never silently drops a request.
-//! * **Deadlines** — an unserviced request expires with `504`.
+//! * **Deadlines** — an unserviced request expires with `504`, in
+//!   process and over TCP, where the deadline ends the reactor's wait.
 //! * **Alias convergence** — `alg2`, `ALG2` and `alg2-central` address
 //!   the same cache entry.
 //! * **Sharding** — the same contracts hold through the consistent-hash
@@ -180,6 +181,41 @@ fn unserviced_request_expires_with_504() {
         .expect_err("no workers, must expire");
     assert_eq!(err.code, 504, "{err:?}");
     service.shutdown(false);
+}
+
+#[test]
+fn deadline_over_tcp_expires_with_504_and_is_counted() {
+    // No workers: the reactor's wait must end at the request's deadline,
+    // since no fulfill will ever wake it.
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServeConfig {
+            workers: 0,
+            queue_cap: 4,
+            cache_cap: 0,
+            cache_ttl: None,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind");
+    let mut tcp = TcpClient::connect(&server.addr().to_string()).expect("connect");
+    // The client has no read timeout: wait for the reply on a channel.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let asker = std::thread::spawn(move || {
+        let reply = tcp.schedule(&job("ghc", 1), Some(50));
+        let _ = tx.send((tcp, reply));
+    });
+    let (mut tcp, reply) = rx
+        .recv_timeout(Duration::from_secs(2))
+        .expect("the 504 arrives within 2 s");
+    asker.join().expect("no panic");
+    match reply {
+        Err(rfid_serve::ClientError::Remote(remote)) => assert_eq!(remote.code, 504, "{remote:?}"),
+        other => panic!("expected remote 504, got {other:?}"),
+    }
+    let (stats, _) = tcp.stats().expect("same connection serves stats");
+    assert_eq!(stats.deadline_expired, 1);
+    server.shutdown();
 }
 
 #[test]
