@@ -76,7 +76,6 @@ fn main() {
                     k,
                     lambda_cap: 4,
                     augment,
-                    ..Default::default()
                 },
             );
             println!("| k={k}, augment={augment} | {w:.1} | {ms:.1} |");

@@ -543,7 +543,6 @@ fn run_router_leg(
         "127.0.0.1:0",
         RouterConfig {
             shards: addrs.clone(),
-            ..RouterConfig::default()
         },
     )
     .expect("start router");

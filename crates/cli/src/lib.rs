@@ -209,8 +209,6 @@ pub enum Command {
         addr: String,
         /// Shard daemon addresses (at least one).
         shards: Vec<String>,
-        /// Forwarder connections held per shard.
-        conns_per_shard: usize,
     },
     /// Send one request to a running daemon.
     Request {
@@ -293,7 +291,6 @@ USAGE:
                   [--queue-cap N] [--cache-ttl-secs S] [--data-dir DIR]
                   [--snapshot-every N] [--peers HOST:PORT,HOST:PORT]
   mrrfid route    --shards HOST:PORT,HOST:PORT [--addr HOST:PORT]
-                  [--conns-per-shard N]
   mrrfid request  [--addr HOST:PORT] --scenario FILE [--algo NAME] [--seed S]
                   [--gen-seed G] [--deadline-ms D] [--resilient]
                   [--payload-out FILE] [--failover HOST:PORT,HOST:PORT]
@@ -511,14 +508,12 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     "route requires --shards HOST:PORT[,HOST:PORT…]".to_string(),
                 ));
             }
-            let defaults = RouterConfig::default();
             Ok(Command::Route {
                 addr: f
                     .get("addr")
                     .cloned()
                     .unwrap_or_else(|| DEFAULT_ROUTER_ADDR.to_string()),
                 shards,
-                conns_per_shard: get_parse(&f, "conns-per-shard", defaults.conns_per_shard)?,
             })
         }
         "request" => {
@@ -1000,15 +995,9 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             server.run_until_shutdown();
             Ok("server stopped\n".to_string())
         }
-        Command::Route {
-            addr,
-            shards,
-            conns_per_shard,
-        } => {
+        Command::Route { addr, shards } => {
             let config = RouterConfig {
                 shards: shards.clone(),
-                conns_per_shard,
-                ..RouterConfig::default()
             };
             let router = Router::start(&addr, config)
                 .map_err(|e| CliError::Remote(format!("bind {addr}: {e}")))?;
@@ -1583,19 +1572,10 @@ mod serve_request_tests {
 
     #[test]
     fn parses_route_and_requires_shards() {
-        match parse(&argv(
-            "route --shards 127.0.0.1:7401,127.0.0.1:7402 --conns-per-shard 2",
-        ))
-        .unwrap()
-        {
-            Command::Route {
-                addr,
-                shards,
-                conns_per_shard,
-            } => {
+        match parse(&argv("route --shards 127.0.0.1:7401,127.0.0.1:7402")).unwrap() {
+            Command::Route { addr, shards } => {
                 assert_eq!(addr, DEFAULT_ROUTER_ADDR);
                 assert_eq!(shards, vec!["127.0.0.1:7401", "127.0.0.1:7402"]);
-                assert_eq!(conns_per_shard, 2);
             }
             other => panic!("wrong parse: {other:?}"),
         }

@@ -14,9 +14,8 @@
 //!   the observable proof that allocation is flat (warmup in the first
 //!   slot, zero afterwards).
 //!
-//! Scratch state is owned per scheduler instance, which is also the
-//! per-thread story: the `par` facade hands each worker its own scratch
-//! (see [`crate::par::map_with`]), so nothing here needs interior
+//! Scratch state is owned per scheduler instance, and a scheduler runs
+//! on the one thread that calls it, so nothing here needs interior
 //! mutability or locking.
 
 use crate::exact::MwfsScratch;

@@ -191,41 +191,18 @@ impl OneShotScheduler for Colorwave {
         for v in 0..n {
             classes[color[v]].push(v);
         }
-        // Best colour class by weight (generous reading of the baseline).
-        // Classes are scored through the `par` facade when the total work
-        // justifies the per-chunk evaluator setup; the selection below
-        // replicates `max_by_key` exactly (last maximum wins on ties).
-        let total_work: usize = classes
-            .iter()
-            .flatten()
-            .map(|&v| input.coverage.tags_of(v).len())
-            .sum();
-        let scores: Vec<usize> =
-            if classes.len() >= 4 && total_work >= 4 * crate::par::MIN_PAR_INDEX_WORK {
-                crate::par::map_with(
-                    &classes,
-                    || WeightEvaluator::new(input.coverage),
-                    |weights, class| weights.weight(class, input.unread),
-                )
-            } else {
-                let mut weights = WeightEvaluator::new(input.coverage);
-                classes
-                    .iter()
-                    .map(|class| weights.weight(class, input.unread))
-                    .collect()
-            };
-        let mut best: Option<((usize, std::cmp::Reverse<usize>), usize)> = None;
-        for (i, class) in classes.iter().enumerate() {
-            let key = (
-                scores[i],
+        // Best colour class by weight (generous reading of the baseline),
+        // selected like `max_by_key`: the last maximum wins on ties.
+        let mut weights = WeightEvaluator::new(input.coverage);
+        let best = (0..classes.len()).max_by_key(|&i| {
+            let class = &classes[i];
+            (
+                weights.weight(class, input.unread),
                 std::cmp::Reverse(class.first().copied().unwrap_or(usize::MAX)),
-            );
-            if best.as_ref().is_none_or(|&(bk, _)| key >= bk) {
-                best = Some((key, i));
-            }
-        }
+            )
+        });
         match best {
-            Some((_, i)) => std::mem::take(&mut classes[i]),
+            Some(i) => std::mem::take(&mut classes[i]),
             None => Vec::new(),
         }
     }

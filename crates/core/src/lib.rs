@@ -45,7 +45,6 @@ pub mod hill_climbing;
 pub mod local_greedy;
 pub mod local_search;
 pub mod mcs;
-pub mod par;
 pub mod ptas;
 pub mod registry;
 pub mod scheduler;
@@ -60,7 +59,7 @@ pub use local_greedy::LocalGreedy;
 pub use local_search::{improve_schedule, ImprovementReport};
 pub use mcs::{
     covering_schedule, covering_schedule_with, CoveringSchedule, FaultPolicy, McsOptions, McsRun,
-    ResilientSchedule, ScheduleError, SlotRecord,
+    ScheduleError, SlotRecord,
 };
 pub use ptas::PtasScheduler;
 pub use registry::{SchedulerEntry, SchedulerRegistry};

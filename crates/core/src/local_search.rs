@@ -15,6 +15,7 @@
 use crate::scheduler::OneShotInput;
 use rfid_model::{IncrementalWeight, ReaderId};
 use rfid_obs::{counter, span};
+use std::cmp::Reverse;
 
 /// Outcome of a local-search pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,17 +100,14 @@ pub fn improve_schedule(input: &OneShotInput<'_>, start: &[ReaderId]) -> Improve
             }
             let mut added: Vec<ReaderId> = Vec::new();
             loop {
-                // Refill scan through the `par` facade: ties resolve to
-                // the smallest id, matching the sequential
-                // first-max-wins scan this replaces.
-                let best = crate::par::argmax_by_key(n, n.saturating_mul(16), |v| {
-                    if v == u || inc.is_active(v) || conflicts[v] != 0 {
-                        return None;
-                    }
-                    let delta = inc.delta_if_added(v);
-                    (delta > 0).then_some(delta)
-                });
-                let Some((_, v)) = best else { break };
+                // Refill scan: the largest positive delta, ties to the
+                // smallest id (first max wins).
+                let best = (0..n)
+                    .filter(|&v| v != u && !inc.is_active(v) && conflicts[v] == 0)
+                    .map(|v| (inc.delta_if_added(v), Reverse(v)))
+                    .filter(|&(delta, _)| delta > 0)
+                    .max();
+                let Some((_, Reverse(v))) = best else { break };
                 inc.add(v);
                 for &t in graph.neighbors(v) {
                     conflicts[t as usize] += 1;

@@ -130,12 +130,6 @@ impl LazyFallback {
     }
 }
 
-/// Tag-space size (in packed words) below which the driver never builds
-/// parallel plane lanes: pool dispatch plus the lane merge costs on the
-/// order of the whole sequential build for small planes, and every unit-
-/// test instance stays on the sequential path.
-const PAR_PLANES_WORDS_MIN: usize = 16_384;
-
 /// Why a covering schedule could not be driven to completion.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScheduleError {
@@ -391,22 +385,7 @@ pub fn covering_schedule_with(
     let mut rows = CoverageRows::build(coverage);
     let mut planes = PlaneScratch::new();
     planes.ensure(rows.n_words());
-    // Per-worker lanes for the parallel plane build on heavyweight slots
-    // (empty when the tag space is small or the pool has one thread —
-    // then every slot takes the sequential path). Allocated up front so
-    // the per-slot alloc histogram stays flat.
-    let mut lanes: Vec<PlaneScratch> =
-        if rows.n_words() >= PAR_PLANES_WORDS_MIN && crate::par::threads() > 1 {
-            let mut lanes = vec![PlaneScratch::new(); crate::par::threads()];
-            for lane in &mut lanes {
-                lane.ensure(rows.n_words());
-            }
-            lanes
-        } else {
-            Vec::new()
-        };
-    let mut setup_allocs =
-        planes.take_allocs() + lanes.iter_mut().map(|l| l.take_allocs()).sum::<u64>();
+    let mut setup_allocs = planes.take_allocs();
     // Cross-slot incremental state: singleton weights are updated per
     // served tag (via `Coverage::readers_of`) instead of rescanned, feed
     // the one-shot schedulers through the input, and back the lazy
@@ -431,37 +410,14 @@ pub fn covering_schedule_with(
     // to the first slot.
     setup_allocs += scheduler.take_scratch_allocations();
     counter!(sub, "mcs.alloc", setup_allocs);
-    let well_covered = |rows: &CoverageRows,
-                        planes: &mut PlaneScratch,
-                        lanes: &mut [PlaneScratch],
-                        active: &[ReaderId],
-                        unread: &TagSet| {
-        planes.clear();
-        let mass: usize = active.iter().map(|&v| rows.row_words(v)).sum();
-        if !lanes.is_empty() && mass * 2 >= rows.n_words() {
-            // Heavy activation: each worker builds private planes from
-            // its share of the active rows (private planes stay resident
-            // in per-core cache, unlike one shared pair under random row
-            // words), then a fixed-order saturating merge folds the
-            // lanes — bit-identical to the sequential build for every
-            // pool width, including one.
-            let chunk = active.len().div_ceil(lanes.len()).max(1);
-            crate::par::for_each_state(&mut lanes[..], |i, lane| {
-                lane.ensure(rows.n_words());
-                let lo = (i * chunk).min(active.len());
-                let hi = ((i + 1) * chunk).min(active.len());
-                lane.add_all(rows, &active[lo..hi]);
-            });
-            planes.make_dense();
-            let lane_planes: Vec<(&[u64], &[u64])> = lanes.iter().map(|l| l.planes()).collect();
-            crate::par::merge_planes(planes.planes_mut(), &lane_planes);
-        } else {
+    let well_covered =
+        |rows: &CoverageRows, planes: &mut PlaneScratch, active: &[ReaderId], unread: &TagSet| {
+            planes.clear();
             planes.add_all(rows, active);
-        }
-        let mut served = Vec::new();
-        planes.well_covered_into(unread.words(), &mut served);
-        served
-    };
+            let mut served = Vec::new();
+            planes.well_covered_into(unread.words(), &mut served);
+            served
+        };
     let mut slots = Vec::new();
     let mut slot_metrics = Vec::new();
     let coverable_total = coverage.coverable_count();
@@ -519,7 +475,7 @@ pub fn covering_schedule_with(
                 counter!(sub, "mcs.repaired_pairs", 1);
             }
         }
-        let mut served = well_covered(&rows, &mut planes, &mut lanes, &active, &unread);
+        let mut served = well_covered(&rows, &mut planes, &active, &unread);
         let mut fallback = false;
         if served.is_empty() {
             // Progress guard: the best singleton always serves ≥ 1 tag
@@ -528,7 +484,7 @@ pub fn covering_schedule_with(
             match fallback_queue.best(&singleton, &crashed, sub) {
                 Some(best) => {
                     active = vec![best];
-                    served = well_covered(&rows, &mut planes, &mut lanes, &active, &unread);
+                    served = well_covered(&rows, &mut planes, &active, &unread);
                     fallback = true;
                 }
                 None => served = Vec::new(),
@@ -552,9 +508,7 @@ pub fn covering_schedule_with(
         counter!(sub, "mcs.tags_served", served.len());
         // Scratch-growth account: arenas warm up in the first slot and then
         // stay flat — `mcs.slot.alloc` max == sum is the observable proof.
-        let slot_allocs = scheduler.take_scratch_allocations()
-            + planes.take_allocs()
-            + lanes.iter_mut().map(|l| l.take_allocs()).sum::<u64>();
+        let slot_allocs = scheduler.take_scratch_allocations() + planes.take_allocs();
         counter!(sub, "mcs.alloc", slot_allocs);
         histogram!(sub, "mcs.slot.alloc", slot_allocs);
         if fallback {
@@ -608,30 +562,6 @@ pub fn covering_schedule_with(
         crashed_dropped,
         abandoned_tags,
     })
-}
-
-/// Outcome of a resilient (`McsOptions::resilient`) run flattened into a
-/// plain struct: the schedule plus an account of every degradation the
-/// loop absorbed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResilientSchedule {
-    /// The (possibly partial) covering schedule; every slot is feasible.
-    pub schedule: CoveringSchedule,
-    /// RTc pairs broken up in-slot by dropping the lower-weight member.
-    pub repaired_pairs: usize,
-    /// Activation entries removed because the scheduler reported the
-    /// reader crashed (summed over slots).
-    pub crashed_dropped: usize,
-    /// Coverable tags left unread because no surviving activation could
-    /// serve them within the slot budget.
-    pub abandoned_tags: Vec<TagId>,
-}
-
-impl ResilientSchedule {
-    /// `true` when every coverable tag was served despite the faults.
-    pub fn complete(&self) -> bool {
-        self.abandoned_tags.is_empty()
-    }
 }
 
 #[cfg(test)]

@@ -52,11 +52,6 @@ pub struct PtasScheduler {
     pub lambda_cap: usize,
     /// Greedily re-add non-surviving readers after the DP (see module doc).
     pub augment: bool,
-    /// Evaluate the `k²` shiftings through the [`crate::par`] facade; the
-    /// shiftings are embarrassingly parallel and the outcome is
-    /// deterministic regardless of thread count (ties resolve in shifting
-    /// order after joining).
-    pub parallel: bool,
 }
 
 impl Default for PtasScheduler {
@@ -65,7 +60,6 @@ impl Default for PtasScheduler {
             k: 4,
             lambda_cap: 4,
             augment: true,
-            parallel: true,
         }
     }
 }
@@ -97,17 +91,10 @@ impl OneShotScheduler for PtasScheduler {
             .collect();
         let levels = LevelAssignment::new(&radii, self.k);
 
-        let shifts = Shifting::all(self.k);
-        let solutions: Vec<Vec<ReaderId>> = if self.parallel && shifts.len() > 1 {
-            crate::par::map(&shifts, |&shift| {
-                self.solve_shifting(input, &candidates, &levels, shift)
-            })
-        } else {
-            shifts
-                .iter()
-                .map(|&shift| self.solve_shifting(input, &candidates, &levels, shift))
-                .collect()
-        };
+        let solutions: Vec<Vec<ReaderId>> = Shifting::all(self.k)
+            .into_iter()
+            .map(|shift| self.solve_shifting(input, &candidates, &levels, shift))
+            .collect();
         counter!(sub, "ptas.shiftings", solutions.len() as u64);
         counter!(sub, "ptas.candidates", candidates.len() as u64);
         let mut best: Vec<ReaderId> = Vec::new();
@@ -316,31 +303,6 @@ mod tests {
         let unread = TagSet::all_unread(1);
         let input = OneShotInput::new(&d, &c, &g, &unread);
         assert!(PtasScheduler::default().schedule(&input).is_empty());
-    }
-
-    #[test]
-    fn parallel_and_sequential_agree() {
-        for seed in 0..4 {
-            let d = paper_like(35, seed);
-            let c = Coverage::build(&d);
-            let g = interference_graph(&d);
-            let unread = TagSet::all_unread(d.n_tags());
-            let input = OneShotInput::new(&d, &c, &g, &unread);
-            let par = PtasScheduler {
-                parallel: true,
-                ..Default::default()
-            }
-            .schedule(&input);
-            let seq = PtasScheduler {
-                parallel: false,
-                ..Default::default()
-            }
-            .schedule(&input);
-            assert_eq!(
-                par, seq,
-                "seed {seed}: thread count must not change the result"
-            );
-        }
     }
 
     #[test]

@@ -218,24 +218,22 @@ impl<'a> OneShotInput<'a> {
     }
 
     /// Per-reader singleton weights: the attached incremental snapshot
-    /// when present, otherwise computed fresh (in parallel through the
-    /// [`crate::par`] facade on large instances — order-preserving, so
-    /// the result is identical to the sequential rescan).
+    /// when present, otherwise computed fresh by one scan over the
+    /// readers in id order.
     pub fn singleton_or_compute(&self) -> std::borrow::Cow<'a, [usize]> {
         match self.singleton {
             Some(s) => std::borrow::Cow::Borrowed(s),
-            None => {
-                let coverage = self.coverage;
-                let unread = self.unread;
-                let n = coverage.n_readers();
-                std::borrow::Cow::Owned(crate::par::map_index(n, n.saturating_mul(16), |v| {
-                    coverage
-                        .tags_of(v)
-                        .iter()
-                        .filter(|&&t| unread.is_unread(t as usize))
-                        .count()
-                }))
-            }
+            None => std::borrow::Cow::Owned(
+                (0..self.coverage.n_readers())
+                    .map(|v| {
+                        self.coverage
+                            .tags_of(v)
+                            .iter()
+                            .filter(|&&t| self.unread.is_unread(t as usize))
+                            .count()
+                    })
+                    .collect(),
+            ),
         }
     }
 

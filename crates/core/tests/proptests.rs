@@ -133,7 +133,7 @@ proptest! {
         let g = interference_graph(&d);
         let unread = TagSet::all_unread(d.n_tags());
         let input = OneShotInput::new(&d, &c, &g, &unread);
-        let mut s = rfid_core::PtasScheduler { k, lambda_cap: lambda, augment: false, ..Default::default() };
+        let mut s = rfid_core::PtasScheduler { k, lambda_cap: lambda, augment: false };
         let set = s.schedule(&input);
         prop_assert!(d.is_feasible(&set));
     }

@@ -363,22 +363,15 @@ impl PlaneScratch {
         }
     }
 
-    /// Read access to the raw `(ge1, ge2)` planes, for fixed-order merge
-    /// of per-worker lanes into a main scratch.
+    /// Read access to the raw `(ge1, ge2)` planes, for comparing two
+    /// scratches word for word.
     pub fn planes(&self) -> (&[u64], &[u64]) {
         (&self.ge1, &self.ge2)
     }
 
-    /// Mutable access to the raw `(ge1, ge2)` planes. Callers writing
-    /// through this (a parallel lane merge) bypass touch tracking and
-    /// must put the scratch in dense mode first ([`make_dense`](Self::make_dense)).
-    pub fn planes_mut(&mut self) -> (&mut [u64], &mut [u64]) {
-        (&mut self.ge1, &mut self.ge2)
-    }
-
-    /// Switches to dense mode explicitly: subsequent clears memset the
-    /// whole planes, so words dirtied through [`planes_mut`](Self::planes_mut)
-    /// are reset even though no touch list recorded them.
+    /// Switches to dense mode explicitly, as a heavy
+    /// [`add_all`](Self::add_all) would: adds stop tracking touched
+    /// words and the next clear memsets the whole planes.
     pub fn make_dense(&mut self) {
         self.dense = true;
         self.touched.clear();

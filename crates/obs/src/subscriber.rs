@@ -89,8 +89,9 @@ pub struct EventRecord {
 /// Contract (DESIGN.md §8): implementations *observe* — they must not
 /// feed anything back into the instrumented computation, and instrumented
 /// code must behave bit-identically whether a subscriber is attached or
-/// not. All methods take `&self`; implementations shared across parallel
-/// scoring threads must be internally synchronised (`Send + Sync`).
+/// not. All methods take `&self`; implementations shared across threads
+/// (the serve workers share one recorder) must be internally synchronised
+/// (`Send + Sync`).
 pub trait Subscriber: Send + Sync {
     /// `false` silences this subscriber at every instrumentation site
     /// before any argument is materialised (see [`crate::active`]).

@@ -23,6 +23,7 @@ use crate::codec::fnv1a64;
 use crate::snapshot;
 use crate::storage::Storage;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -193,11 +194,20 @@ impl DurableStore {
                 report.dropped_bytes = replayed.dropped_bytes;
                 // Overlay: journal entries win over snapshot entries of
                 // the same key (they are identical payloads anyway — the
-                // payload is a pure function of the key).
+                // payload is a pure function of the key). A key keeps the
+                // position it was first seen at; the last payload wins.
+                let mut position: HashMap<u64, usize> =
+                    HashMap::with_capacity(report.entries.len() + replayed.entries.len());
+                for (i, (key, _)) in report.entries.iter().enumerate() {
+                    position.entry(*key).or_insert(i);
+                }
                 for (key, payload) in replayed.entries {
-                    match report.entries.iter_mut().find(|(k, _)| *k == key) {
-                        Some(slot) => slot.1 = payload,
-                        None => report.entries.push((key, payload)),
+                    match position.get(&key) {
+                        Some(&i) => report.entries[i].1 = payload,
+                        None => {
+                            position.insert(key, report.entries.len());
+                            report.entries.push((key, payload));
+                        }
                     }
                 }
             }
@@ -370,6 +380,40 @@ mod tests {
         let mut keys: Vec<u64> = report.entries.iter().map(|(k, _)| *k).collect();
         keys.sort_unstable();
         assert_eq!(keys, vec![1, 2, 3]);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn repeated_keys_recover_once_with_their_last_payload() {
+        let (storage, root) = disk("repeats");
+        storage
+            .replace(
+                SNAPSHOT_FILE,
+                snapshot::encode(&[(1u64, Arc::from("one")), (2u64, Arc::from("two"))]).as_bytes(),
+            )
+            .unwrap();
+        let store = DurableStore::new(Arc::clone(&storage), 0);
+        for (key, payload) in [
+            (3, "three"),
+            (2, "two-b"),
+            (3, "three-b"),
+            (4, "four"),
+            (2, "two-c"),
+        ] {
+            assert!(store.persist(key, payload, &Vec::new));
+        }
+        let report = store.recover();
+        assert_eq!(report.snapshot_entries, 2);
+        assert_eq!(report.journal_records, 5);
+        assert_eq!(
+            report.entries,
+            vec![
+                (1, "one".to_string()),
+                (2, "two-c".to_string()),
+                (3, "three-b".to_string()),
+                (4, "four".to_string()),
+            ]
+        );
         std::fs::remove_dir_all(&root).ok();
     }
 

@@ -49,25 +49,11 @@ use std::task::Waker;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Router construction parameters (the CLI's `route` flags).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Router construction parameters (the CLI's `route --shards` flag).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RouterConfig {
     /// Daemon addresses to shard across (at least one).
     pub shards: Vec<String>,
-    /// Forwarder connections (threads) per shard.
-    pub conns_per_shard: usize,
-    /// Forward-queue capacity per shard; overflow answers `429`.
-    pub queue_cap: usize,
-}
-
-impl Default for RouterConfig {
-    fn default() -> Self {
-        RouterConfig {
-            shards: Vec::new(),
-            conns_per_shard: 4,
-            queue_cap: 1024,
-        }
-    }
 }
 
 /// What came back from a shard for one forwarded frame.
@@ -386,6 +372,12 @@ const FORWARD: FailoverPolicy = FailoverPolicy {
     max_backoff: Duration::ZERO,
 };
 
+/// Forwarder connections (threads) per shard.
+const CONNS_PER_SHARD: usize = 4;
+
+/// Forward-queue capacity per shard; overflow answers `429`.
+const QUEUE_CAP: usize = 1024;
+
 /// One forwarder thread: owns one connection to its shard, drains the
 /// shard's queue, round-trips each frame, fulfills each slot.
 fn forward_loop(addr: String, queue: Arc<WorkQueue<ForwardJob>>) {
@@ -420,8 +412,8 @@ impl Router {
         let mut queues = Vec::with_capacity(config.shards.len());
         let mut forwarders = Vec::new();
         for shard_addr in &config.shards {
-            let queue = Arc::new(WorkQueue::new(config.queue_cap));
-            for i in 0..config.conns_per_shard.max(1) {
+            let queue = Arc::new(WorkQueue::new(QUEUE_CAP));
+            for i in 0..CONNS_PER_SHARD {
                 let q = Arc::clone(&queue);
                 let a = shard_addr.clone();
                 forwarders.push(
@@ -577,8 +569,6 @@ mod tests {
             "127.0.0.1:0",
             RouterConfig {
                 shards: vec![a.addr().to_string(), b.addr().to_string()],
-                conns_per_shard: 2,
-                ..RouterConfig::default()
             },
         )
         .unwrap();
@@ -622,7 +612,6 @@ mod tests {
             "127.0.0.1:0",
             RouterConfig {
                 shards: vec![a.addr().to_string(), b.addr().to_string()],
-                ..RouterConfig::default()
             },
         )
         .unwrap();
@@ -651,7 +640,6 @@ mod tests {
             "127.0.0.1:0",
             RouterConfig {
                 shards: vec![a.addr().to_string()],
-                ..RouterConfig::default()
             },
         )
         .unwrap();
@@ -678,8 +666,6 @@ mod tests {
             "127.0.0.1:0",
             RouterConfig {
                 shards: vec![a.addr().to_string(), dead_addr],
-                conns_per_shard: 1,
-                ..RouterConfig::default()
             },
         )
         .unwrap();
@@ -711,8 +697,6 @@ mod tests {
             "127.0.0.1:0",
             RouterConfig {
                 shards: vec![a.addr().to_string(), b.addr().to_string()],
-                conns_per_shard: 2,
-                ..RouterConfig::default()
             },
         )
         .unwrap();
@@ -742,8 +726,6 @@ mod tests {
             "127.0.0.1:0",
             RouterConfig {
                 shards: vec![a.addr().to_string(), b.addr().to_string()],
-                conns_per_shard: 2,
-                ..RouterConfig::default()
             },
         )
         .unwrap();
@@ -786,14 +768,7 @@ mod tests {
         let a = daemon();
         let b = daemon();
         let shards = vec![a.addr().to_string(), b.addr().to_string()];
-        let router = Router::start(
-            "127.0.0.1:0",
-            RouterConfig {
-                shards,
-                ..RouterConfig::default()
-            },
-        )
-        .unwrap();
+        let router = Router::start("127.0.0.1:0", RouterConfig { shards }).unwrap();
         // Solve on a scratch daemon to get real entries to gossip.
         let scratch = daemon();
         let mut s = TcpClient::connect(&scratch.addr().to_string()).unwrap();

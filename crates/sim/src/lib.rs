@@ -12,9 +12,8 @@
 //! * [`metrics`] — per-trial records and mean/σ aggregation for the figure
 //!   series.
 //! * [`sweep`] — the experiment driver behind every figure: a grid of
-//!   (λ value × algorithm × seed) trials, fanned out through the
-//!   [`rfid_core::par`] facade, fully deterministic per seed regardless
-//!   of thread count.
+//!   (λ value × algorithm × seed) trials split across scoped threads,
+//!   fully deterministic per seed regardless of thread count.
 //! * [`table`] — Markdown / CSV / JSON emitters used by the `fig*`
 //!   binaries so EXPERIMENTS.md can quote results verbatim.
 

@@ -6,10 +6,12 @@
 //! 8/9) or the full greedy covering schedule (Figures 6/7), and records
 //! timing plus communication cost.
 //!
-//! Trials fan out through the [`rfid_core::par`] facade — deployments and
-//! trials are independent, so this is embarrassingly parallel; results
-//! are keyed by `(point, algorithm, seed)` and sorted at the end, making
-//! the output independent of thread scheduling.
+//! The `(λ, seed)` trials are independent, so [`run_sweep`] splits them
+//! across scoped threads, each claiming the next unstarted trial. This is
+//! the only place the solver stack runs on more than one thread; every
+//! scheduler inside a trial runs on the thread that claimed it. Results
+//! are put back in trial order and sorted by `(point, algorithm, seed)`,
+//! making the output independent of thread scheduling.
 
 use crate::metrics::TrialRecord;
 use rfid_core::{
@@ -18,6 +20,8 @@ use rfid_core::{
 use rfid_model::interference::interference_graph;
 use rfid_model::{Coverage, Scenario, TagSet, WeightEvaluator};
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Which λ the sweep varies (the other stays at the scenario's value).
@@ -50,7 +54,8 @@ pub struct SweepConfig {
     pub measure_mcs: bool,
     /// Record the one-shot weight on a fresh tag set (Figures 8/9).
     pub measure_oneshot: bool,
-    /// Worker threads; `None` = available parallelism.
+    /// Threads the trials are split across; `None` = available
+    /// parallelism. Never more threads than trials are started.
     pub threads: Option<usize>,
 }
 
@@ -80,12 +85,35 @@ pub fn run_sweep(config: &SweepConfig) -> Vec<TrialRecord> {
             items.push((value, config.base_seed + t as u64));
         }
     }
-    let mut out: Vec<TrialRecord> =
-        rfid_core::par::map_chunked(&items, config.threads, |&(value, seed)| {
-            run_point(config, value, seed)
-        })
+    let threads = config
+        .threads
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+        .clamp(1, items.len());
+    // One result slot per trial, filled by whichever thread claims it, so
+    // the records come back in trial order at every thread count.
+    let results: Vec<OnceLock<Vec<TrialRecord>>> = items.iter().map(|_| OnceLock::new()).collect();
+    // Relaxed: the counter only hands out indices; the records travel
+    // through the `OnceLock`s and the scope's join.
+    let next = AtomicUsize::new(0);
+    let worker = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(&(value, seed)) = items.get(i) else {
+            break;
+        };
+        results[i]
+            .set(run_point(config, value, seed))
+            .expect("each trial is claimed once");
+    };
+    // The calling thread works too, so `threads - 1` are spawned.
+    std::thread::scope(|s| {
+        for _ in 1..threads {
+            s.spawn(worker);
+        }
+        worker();
+    });
+    let mut out: Vec<TrialRecord> = results
         .into_iter()
-        .flatten()
+        .flat_map(|slot| slot.into_inner().expect("every trial ran"))
         .collect();
     out.sort_by(|a, b| {
         (
@@ -212,26 +240,28 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic_across_thread_counts() {
-        let mut one = tiny_config();
-        one.threads = Some(1);
-        let mut four = tiny_config();
-        four.threads = Some(4);
-        let a = run_sweep(&one);
-        let b = run_sweep(&four);
-        // runtime_ms differs; compare the science fields.
-        let key = |r: &TrialRecord| {
-            (
-                r.algorithm.clone(),
-                r.lambda_interrogation.to_bits(),
-                r.seed,
-                r.mcs_size,
-                r.oneshot_weight,
-            )
+        // runtime_ms differs; compare the science fields. 0 threads runs
+        // on the calling thread alone; 16 is capped at the 4 trials.
+        let science = |threads| {
+            let mut c = tiny_config();
+            c.threads = Some(threads);
+            run_sweep(&c)
+                .iter()
+                .map(|r| {
+                    (
+                        r.algorithm.clone(),
+                        r.lambda_interrogation.to_bits(),
+                        r.seed,
+                        r.mcs_size,
+                        r.oneshot_weight,
+                    )
+                })
+                .collect::<Vec<_>>()
         };
-        assert_eq!(
-            a.iter().map(key).collect::<Vec<_>>(),
-            b.iter().map(key).collect::<Vec<_>>()
-        );
+        let one = science(1);
+        for threads in [0, 4, 16] {
+            assert_eq!(science(threads), one, "{threads} threads");
+        }
     }
 
     #[test]

@@ -1,32 +1,28 @@
 //! Differential equivalence tests for the performance work (DESIGN.md §7).
 //!
 //! The lazy-greedy MCS engine (incremental singleton weights, lazy
-//! fallback queue, scratch reuse, sorted seed cursors, parallel scoring)
-//! is required to be **bit-identical** to the original eager per-slot
-//! rescan semantics. These tests pin that contract:
+//! fallback queue, scratch reuse, sorted seed cursors) is required to be
+//! **bit-identical** to the original eager per-slot rescan semantics.
+//! These tests pin that contract:
 //!
 //! * a from-scratch reference implementation of the covering-schedule
 //!   loops (fresh evaluator and `O(n)` `max_by_key` fallback scan every
 //!   slot, no precomputed singleton weights) must produce *equal*
-//!   `CoveringSchedule` / `ResilientSchedule` values across random
-//!   deployments, radius mixes, schedulers and crash sets;
+//!   `CoveringSchedule` / `McsRun` values across random deployments,
+//!   radius mixes, schedulers and crash sets;
 //! * every scheduler must return the same set with and without the
 //!   driver-provided singleton weights attached to its input;
 //! * the packed-bitset scoring layer ([`CoverageRows`]/[`PlaneScratch`])
 //!   must agree element-wise with the eager per-tag [`WeightEvaluator`]
 //!   on weights, well-covered sets, singleton rows and add-deltas;
-//! * the `rfid_core::par` facade must be chunk-count invisible: 1, 2 and
-//!   pool-many chunks agree element-wise (chunk boundaries are rounded to
-//!   cache-line multiples — still invisible);
 //! * per-slot scratch allocation must be *flat*: the `mcs.alloc` feed
 //!   shows warmup confined to the first slot and zero on a warm rerun,
 //!   including on the resilient audit/repair path.
 
 use proptest::prelude::*;
 use rfid_core::{
-    covering_schedule_with, make_scheduler, par, AlgorithmKind, AliveSet, BallScratch,
-    CoveringSchedule, McsOptions, OneShotInput, OneShotScheduler, ResilientSchedule, ScheduleError,
-    SlotRecord,
+    covering_schedule_with, make_scheduler, AlgorithmKind, AliveSet, BallScratch, CoveringSchedule,
+    McsOptions, McsRun, OneShotInput, OneShotScheduler, ScheduleError, SlotRecord,
 };
 use rfid_graph::Csr;
 use rfid_model::interference::interference_graph;
@@ -104,7 +100,6 @@ fn reference_covering_schedule(
     Ok(CoveringSchedule { slots, uncoverable })
 }
 
-/// The pre-optimisation resilient loop, verbatim semantics.
 /// The optimized strict engine through the unified entry point, shaped
 /// like the reference for direct comparison.
 fn engine_schedule(
@@ -131,30 +126,26 @@ fn engine_resilient(
     graph: &Csr,
     scheduler: &mut dyn OneShotScheduler,
     max_slots: usize,
-) -> ResilientSchedule {
-    let run = covering_schedule_with(
+) -> McsRun {
+    covering_schedule_with(
         deployment,
         coverage,
         graph,
         scheduler,
         &McsOptions::new().max_slots(max_slots).resilient(),
     )
-    .expect("resilient runs cannot fail");
-    ResilientSchedule {
-        schedule: run.schedule,
-        repaired_pairs: run.repaired_pairs,
-        crashed_dropped: run.crashed_dropped,
-        abandoned_tags: run.abandoned_tags,
-    }
+    .expect("resilient runs cannot fail")
 }
 
+/// The pre-optimisation resilient loop, verbatim semantics, shaped like
+/// the engine's `McsRun` (no per-slot metrics requested).
 fn reference_resilient(
     deployment: &Deployment,
     coverage: &Coverage,
     graph: &Csr,
     scheduler: &mut dyn OneShotScheduler,
     max_slots: usize,
-) -> ResilientSchedule {
+) -> McsRun {
     let mut unread = TagSet::all_unread(deployment.n_tags());
     let uncoverable: Vec<TagId> = (0..deployment.n_tags())
         .filter(|&t| !coverage.is_coverable(t))
@@ -219,8 +210,9 @@ fn reference_resilient(
     let abandoned_tags: Vec<TagId> = (0..deployment.n_tags())
         .filter(|&t| coverage.is_coverable(t) && unread.is_unread(t))
         .collect();
-    ResilientSchedule {
+    McsRun {
         schedule: CoveringSchedule { slots, uncoverable },
+        slot_metrics: Vec::new(),
         repaired_pairs,
         crashed_dropped,
         abandoned_tags,
@@ -361,30 +353,6 @@ proptest! {
         let a = make_scheduler(kind, seed).schedule(&plain);
         let b = make_scheduler(kind, seed).schedule(&hinted);
         prop_assert_eq!(a, b, "{:?} seed {}", kind, seed);
-    }
-
-    /// The par facade is chunk-count invisible: 1, 2, several and
-    /// pool-many chunks agree for order-preserving maps and index argmax.
-    /// Chunk boundaries snap to `par::CHUNK_ALIGN` multiples, so odd chunk
-    /// counts over non-aligned lengths exercise short and empty tails.
-    #[test]
-    fn par_facade_is_chunk_count_invisible(
-        items in proptest::collection::vec(0u64..1_000_000, 0..400),
-    ) {
-        let expect: Vec<u64> = items.iter().map(|&x| x.wrapping_mul(2654435761) >> 7).collect();
-        for chunks in [Some(1), Some(2), Some(3), Some(5), None] {
-            let got = par::map_chunked(&items, chunks, |&x| x.wrapping_mul(2654435761) >> 7);
-            prop_assert_eq!(&got, &expect, "chunks {:?}", chunks);
-        }
-        let n = items.len();
-        let key = |i: usize| (items[i] % 97 != 0).then(|| items[i] % 13);
-        let expect_max = par::argmax_chunked(n, Some(1), 0, key);
-        for chunks in [Some(1), Some(2), Some(3), Some(5), None] {
-            // min_work of usize::MAX forces the parallel path even for
-            // tiny inputs.
-            let got = par::argmax_chunked(n, chunks, usize::MAX, key);
-            prop_assert_eq!(got, expect_max, "chunks {:?}", chunks);
-        }
     }
 
     /// The packed-bitset scoring layer agrees with the eager per-tag
@@ -532,50 +500,6 @@ proptest! {
             balls.ball_into(&g, src, r, &alive, &mut out);
             prop_assert_eq!(&out, &expect, "src {} r {}", src, r);
         }
-    }
-
-    /// The column-parallel lane merge is partition-invisible: any split
-    /// of the active set across any number of lanes, merged in lane
-    /// order, equals the sequential plane build bit for bit — including
-    /// lanes left completely empty.
-    #[test]
-    fn lane_merge_matches_sequential_build(
-        seed in 0u64..1000,
-        n_readers in 4usize..32,
-        active_sel in proptest::collection::vec(0usize..32, 0..16),
-        n_lanes in 1usize..5,
-    ) {
-        let d = scenario(n_readers, 12.0, 6.0).generate(seed);
-        let c = Coverage::build(&d);
-        let rows = CoverageRows::build(&c);
-        let mut active: Vec<ReaderId> =
-            active_sel.into_iter().map(|v| v % n_readers).collect();
-        active.sort_unstable();
-        active.dedup();
-        let mut sequential = PlaneScratch::new();
-        sequential.ensure(rows.n_words());
-        sequential.add_all(&rows, &active);
-        let mut lanes: Vec<PlaneScratch> = vec![PlaneScratch::new(); n_lanes];
-        let chunk = active.len().div_ceil(n_lanes).max(1);
-        par::for_each_state(&mut lanes, |i, lane| {
-            lane.ensure(rows.n_words());
-            let lo = (i * chunk).min(active.len());
-            let hi = ((i + 1) * chunk).min(active.len());
-            lane.add_all(&rows, &active[lo..hi]);
-        });
-        let mut merged = PlaneScratch::new();
-        merged.ensure(rows.n_words());
-        merged.make_dense();
-        let lane_planes: Vec<(&[u64], &[u64])> =
-            lanes.iter().map(|l| l.planes()).collect();
-        par::merge_planes(merged.planes_mut(), &lane_planes);
-        prop_assert_eq!(sequential.planes(), merged.planes());
-        // And the merged scratch extracts identically.
-        let unread = TagSet::all_unread(d.n_tags());
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        sequential.well_covered_into(unread.words(), &mut a);
-        merged.well_covered_into(unread.words(), &mut b);
-        prop_assert_eq!(a, b);
     }
 
     /// Dense mode is a strategy, not a semantics: forcing it (or letting

@@ -266,7 +266,6 @@ fn payloads_identical_through_the_router_and_invariant_holds_fleet_wide() {
         "127.0.0.1:0",
         RouterConfig {
             shards: vec![shard_a.addr().to_string(), shard_b.addr().to_string()],
-            ..RouterConfig::default()
         },
     )
     .expect("start router");
@@ -373,7 +372,6 @@ fn key_requests_through_the_router_match_the_owning_shard() {
         "127.0.0.1:0",
         RouterConfig {
             shards: vec![shard_a.addr().to_string(), shard_b.addr().to_string()],
-            ..RouterConfig::default()
         },
     )
     .expect("start router");
