@@ -324,13 +324,19 @@ fn parse_algorithm(s: &str) -> Result<AlgorithmKind, CliError> {
         .map_err(CliError::Usage)
 }
 
-fn flags(args: &[String]) -> Result<BTreeMap<String, String>, CliError> {
+/// Parses `--key [value]` pairs, rejecting any key not among `cmd`'s
+/// space-separated `known` flags: a misspelt flag must fail, not fall back
+/// to its default.
+fn flags(args: &[String], cmd: &str, known: &str) -> Result<BTreeMap<String, String>, CliError> {
     let mut map = BTreeMap::new();
     let mut i = 0;
     while i < args.len() {
         let key = args[i]
             .strip_prefix("--")
             .ok_or_else(|| CliError::Usage(format!("expected --flag, got '{}'", args[i])))?;
+        if !known.split(' ').any(|k| k == key) {
+            return Err(CliError::Usage(format!("{cmd} does not take --{key}")));
+        }
         // A flag followed by another flag (or nothing) is boolean.
         match args.get(i + 1) {
             Some(v) if !v.starts_with("--") => {
@@ -375,7 +381,11 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     match cmd.as_str() {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "generate" => {
-            let f = flags(rest)?;
+            let f = flags(
+                rest,
+                "generate",
+                "readers tags seed lambda-interference lambda-interrogation region out",
+            )?;
             Ok(Command::Generate {
                 readers: get_parse(&f, "readers", 50)?,
                 tags: get_parse(&f, "tags", 1200)?,
@@ -387,13 +397,17 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             })
         }
         "inspect" => {
-            let f = flags(rest)?;
+            let f = flags(rest, "inspect", "deployment")?;
             Ok(Command::Inspect {
                 deployment: require(&f, "deployment", "inspect")?,
             })
         }
         "schedule" => {
-            let f = flags(rest)?;
+            let f = flags(
+                rest,
+                "schedule",
+                "deployment algorithm seed mode out metrics-out trace",
+            )?;
             let mode = f.get("mode").map(String::as_str).unwrap_or("oneshot");
             if mode != "oneshot" && mode != "mcs" {
                 return Err(CliError::Usage(format!(
@@ -413,7 +427,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             })
         }
         "render" => {
-            let f = flags(rest)?;
+            let f = flags(rest, "render", "deployment algorithm seed out")?;
             Ok(Command::Render {
                 deployment: require(&f, "deployment", "render")?,
                 algorithm: parse_algorithm(
@@ -424,7 +438,11 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             })
         }
         "sweep" => {
-            let f = flags(rest)?;
+            let f = flags(
+                rest,
+                "sweep",
+                "axis values fixed trials metric readers tags",
+            )?;
             let axis = match f.get("axis").map(String::as_str).unwrap_or("interrogation") {
                 "interrogation" => SweepAxis::Interrogation,
                 "interference" => SweepAxis::Interference,
@@ -462,26 +480,30 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             })
         }
         "trace" => {
-            let f = flags(rest)?;
+            let f = flags(rest, "trace", "deployment")?;
             Ok(Command::Trace {
                 deployment: require(&f, "deployment", "trace")?,
             })
         }
         "stats" => {
-            let f = flags(rest)?;
+            let f = flags(rest, "stats", "deployment")?;
             Ok(Command::Stats {
                 deployment: require(&f, "deployment", "stats")?,
             })
         }
         "verify" => {
-            let f = flags(rest)?;
+            let f = flags(rest, "verify", "deployment schedule")?;
             Ok(Command::Verify {
                 deployment: require(&f, "deployment", "verify")?,
                 schedule: require(&f, "schedule", "verify")?,
             })
         }
         "serve" => {
-            let f = flags(rest)?;
+            let f = flags(
+                rest,
+                "serve",
+                "addr workers cache-cap queue-cap cache-ttl-secs data-dir snapshot-every peers",
+            )?;
             let defaults = ServeConfig::default();
             Ok(Command::Serve {
                 addr: f
@@ -501,7 +523,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             })
         }
         "route" => {
-            let f = flags(rest)?;
+            let f = flags(rest, "route", "addr shards")?;
             let shards = parse_addr_list(f.get("shards"));
             if shards.is_empty() {
                 return Err(CliError::Usage(
@@ -517,7 +539,12 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             })
         }
         "request" => {
-            let f = flags(rest)?;
+            let f = flags(
+                rest,
+                "request",
+                "addr scenario algo seed gen-seed deadline-ms resilient payload-out failover \
+                 delta base key stats shutdown",
+            )?;
             let stats = f.contains_key("stats");
             let shutdown = f.contains_key("shutdown");
             let scenario = f.get("scenario").cloned();
@@ -574,7 +601,11 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             })
         }
         "patch" => {
-            let f = flags(rest)?;
+            let f = flags(
+                rest,
+                "patch",
+                "scenario ops out algo seed gen-seed resilient",
+            )?;
             Ok(Command::Patch {
                 scenario: require(&f, "scenario", "patch")?,
                 ops: require(&f, "ops", "patch")?,
@@ -1581,6 +1612,52 @@ mod serve_request_tests {
         }
         let err = parse(&argv("route --addr 127.0.0.1:0")).unwrap_err();
         assert!(err.to_string().contains("--shards"), "{err}");
+    }
+
+    #[test]
+    fn rejects_flags_the_subcommand_does_not_take() {
+        for (line, flag) in [
+            (
+                "generate --readers 5 --tagz 7 --seed 1 --out f.json",
+                "--tagz",
+            ),
+            ("route --shards A --conns-per-shard 2", "--conns-per-shard"),
+            ("inspect --deployment d.json --algo ghc", "--algo"),
+        ] {
+            let err = parse(&argv(line)).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{line}");
+            assert!(err.to_string().contains(flag), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn documented_invocations_parse() {
+        // Every flag set the README, EXPERIMENTS.md and CI's serve smoke use.
+        for line in [
+            "generate --readers 50 --tags 1200 --seed 42 --out depl.json",
+            "generate --out d.json --lambda-interference 12 --lambda-interrogation 5 --region 80",
+            "schedule --deployment d.json --algorithm alg1 --mode mcs --out s.json",
+            "schedule --deployment d.json --metrics-out m.csv --trace --seed 3",
+            "render --deployment d.json --out slot.svg --algorithm ghc --seed 1",
+            "sweep --axis interrogation --values 3,5,7,9 --trials 5",
+            "sweep --values 4,6 --trials 3 --readers 30 --tags 300 --metric mcs --fixed 14",
+            "verify --deployment d.json --schedule s.json",
+            "serve --addr 127.0.0.1:7401 --workers 2 --cache-cap 64 --queue-cap 16",
+            "serve --addr 127.0.0.1:7403 --workers 2 --data-dir serve-data --snapshot-every 8",
+            "serve --addr 127.0.0.1:7401 --data-dir a --peers 127.0.0.1:7402 --cache-ttl-secs 60",
+            "route --addr 127.0.0.1:7410 --shards 127.0.0.1:7411,127.0.0.1:7412",
+            "request --addr 127.0.0.1:7401 --scenario d.json --algo ghc --payload-out p.json",
+            "request --addr 127.0.0.1:7401 --failover 127.0.0.1:7402 --scenario d.json \
+             --seed 1 --gen-seed 2 --deadline-ms 500 --resilient",
+            "request --addr 127.0.0.1:7415 --delta ops.json --base 5ad0 --payload-out p.json",
+            "request --addr 127.0.0.1:7410 --key 00000000000000ee --payload-out p.json",
+            "request --addr 127.0.0.1:7401 --stats",
+            "request --addr 127.0.0.1:7401 --shutdown",
+            "patch --scenario d.json --ops ops.json --out p.json --algo ghc --seed 1 \
+             --gen-seed 2 --resilient",
+        ] {
+            assert!(parse(&argv(line)).is_ok(), "{line}");
+        }
     }
 
     #[test]

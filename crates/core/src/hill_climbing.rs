@@ -11,17 +11,23 @@
 //! out a victim reader, which the incremental weight model cannot express —
 //! and the paper's feasible-set definition forbids it anyway).
 //!
-//! The scan over candidates is a singly linked list threaded through the
-//! singleton-sorted order: a candidate that becomes active or blocked is
-//! unlinked the next time the scan passes it, and — both conditions being
-//! monotone within one call — never looked at again. Combined with the
-//! persistent [`rfid_model::IncrementalCore`] this turns the
-//! quadratic-leaning pick loop into `O(additions × live-prefix)` with an
-//! allocation-free warm path across covering-schedule slots.
+//! Every candidate's incremental weight is kept exact: it starts at the
+//! singleton weight, and each addition adjusts only the readers sharing a
+//! tag whose active-cover count it moves
+//! ([`rfid_model::IncrementalCore::add_reporting`]). Each pick pops a lazy
+//! max-heap of `(gain, Reverse(id))` entries, skipping entries that are
+//! stale, blocked or active, so it is exactly the eager argmax with the
+//! id tie-break. A call walks the `readers_of` list of each tag its
+//! additions cover plus `O(log)` per heap entry, instead of one
+//! `delta_if_added` per live candidate per pick, and the heap, gain and
+//! dirty buffers persist across covering-schedule slots, so the warm path
+//! allocates nothing.
 
 use crate::scheduler::{OneShotInput, OneShotScheduler};
 use rfid_model::{IncrementalCore, ReaderId};
 use rfid_obs::{counter, histogram, span};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// The GHC baseline scheduler (plus its cross-call scratch).
 #[derive(Debug, Clone, Default)]
@@ -33,11 +39,14 @@ pub struct HillClimbing {
     pub admit_zero_gain: bool,
     inc: IncrementalCore,
     blocked: Vec<bool>,
-    /// Candidate readers sorted by (singleton desc, id asc).
-    order: Vec<u32>,
-    /// `next[i]` = index into `order` of the next live candidate after
-    /// position `i` (`order.len()` terminates), maintained by unlinking.
-    next: Vec<u32>,
+    /// `gain[v] == inc.delta_if_added(v)` for every reader that can still
+    /// be picked in this call.
+    gain: Vec<isize>,
+    /// Readers whose gain the last addition moved (repeats allowed).
+    dirty: Vec<ReaderId>,
+    /// `(gain, Reverse(v))` for this call's candidates; an entry whose
+    /// gain differs from `gain[v]` is stale and skipped.
+    heap: BinaryHeap<(isize, Reverse<u32>)>,
     allocs: u64,
 }
 
@@ -53,101 +62,54 @@ impl OneShotScheduler for HillClimbing {
         self.inc.reset(input.coverage, input.unread);
         if self.blocked.len() != n {
             self.blocked = vec![false; n];
-            self.allocs += 1;
+            self.gain = vec![0; n];
+            self.allocs += 2;
         } else {
             self.blocked.fill(false);
         }
-        // Lazy bound scan: sub-additivity gives `delta_if_added(v) ≤
-        // w({v})`, and the singleton weights are fixed for the whole call,
-        // so scanning candidates in descending singleton order lets each
-        // pick stop as soon as the remaining singletons fall *strictly*
-        // below the best delta found — candidates that could still tie
-        // (singleton == best delta) are visited, preserving the id
-        // tie-break exactly.
+        // Additions below `floor` stop the climb, so such entries never
+        // enter the heap and an empty heap is the stop rule. A reader with
+        // singleton weight 0 covers no unread tag: its gain is 0 for the
+        // whole call and no addition ever moves it.
+        let floor = isize::from(!self.admit_zero_gain);
         let singleton = input.singleton_or_compute();
-        self.order.clear();
-        if self.order.capacity() < n {
-            self.allocs += 1;
-            self.order.reserve(n);
+        let (heap_cap, dirty_cap) = (self.heap.capacity(), self.dirty.capacity());
+        self.heap.clear();
+        let gain = &mut self.gain;
+        let mut seed = |v: usize| {
+            gain[v] = singleton[v] as isize;
+            (gain[v], Reverse(v as u32))
+        };
+        match input.positive_readers() {
+            // `covering_schedule_with` already keeps the positive set.
+            Some(p) if !self.admit_zero_gain => self.heap.extend(p.iter().map(|&v| seed(v))),
+            _ => self
+                .heap
+                .extend((0..n).filter(|&v| singleton[v] as isize >= floor).map(seed)),
         }
-        if self.admit_zero_gain {
-            // Zero-gain additions are admissible, so zero-singleton
-            // readers (delta exactly 0) stay in the candidate pool.
-            self.order.extend(0..n as u32);
-        } else if let Some(p) = input.positive_readers() {
-            // The covering-schedule driver already maintains the positive
-            // set — reuse it and skip the O(n) scan.
-            self.order.extend(p.iter().map(|&v| v as u32));
-        } else {
-            // Strict mode adds only positive deltas; a zero-singleton
-            // reader's delta is always 0 and its presence never changes
-            // the selected best (a scan that would stop on it stops on
-            // the next candidate, or the list end, with the same state).
-            self.order
-                .extend((0..n as u32).filter(|&v| singleton[v as usize] > 0));
-        }
-        self.order.sort_unstable_by(|&a, &b| {
-            singleton[b as usize]
-                .cmp(&singleton[a as usize])
-                .then(a.cmp(&b))
-        });
-        let k = self.order.len();
-        self.next.clear();
-        if self.next.capacity() < n {
-            self.allocs += 1;
-            self.next.reserve(n);
-        }
-        self.next.extend(1..=k as u32);
-        let mut head = 0u32;
-        loop {
-            // Best feasible addition by incremental weight; ties by id
-            // (explicit `(delta, Reverse(v))` order — the scan no longer
-            // runs in id order, so first-max-wins is not enough).
-            let mut best: Option<(isize, ReaderId)> = None;
-            let mut prev: Option<usize> = None;
-            let mut i = head as usize;
-            while i < k {
-                let v = self.order[i] as usize;
-                if self.blocked[v] || self.inc.is_active(v) {
-                    // Monotone within this call — unlink for good.
-                    let nx = self.next[i];
-                    match prev {
-                        None => head = nx,
-                        Some(p) => self.next[p] = nx,
-                    }
-                    i = nx as usize;
-                    continue;
-                }
-                if let Some((bd, _)) = best {
-                    if (singleton[v] as isize) < bd {
-                        break;
-                    }
-                }
-                let delta = self.inc.delta_if_added(input.coverage, v);
-                if best.is_none_or(|(bd, bv)| {
-                    (delta, std::cmp::Reverse(v)) > (bd, std::cmp::Reverse(bv))
-                }) {
-                    best = Some((delta, v));
-                }
-                prev = Some(i);
-                i = self.next[i] as usize;
+        while let Some((delta, Reverse(v))) = self.heap.pop() {
+            let v = v as usize;
+            if delta != self.gain[v] || self.blocked[v] || self.inc.is_active(v) {
+                continue;
             }
-            let Some((delta, v)) = best else { break };
-            let stop = if self.admit_zero_gain {
-                delta < 0
-            } else {
-                delta <= 0
-            };
-            if stop {
-                break;
-            }
-            self.inc.add(input.coverage, v);
+            let (gain, dirty) = (&mut self.gain, &mut self.dirty);
+            self.inc.add_reporting(input.coverage, v, |w, change| {
+                gain[w] += change;
+                dirty.push(w);
+            });
             counter!(sub, "ghc.additions");
             histogram!(sub, "ghc.incremental_weight", delta as u64);
             for &t in input.graph.neighbors(v) {
                 self.blocked[t as usize] = true;
             }
+            for w in self.dirty.drain(..) {
+                if self.gain[w] >= floor && !self.blocked[w] && !self.inc.is_active(w) {
+                    self.heap.push((self.gain[w], Reverse(w as u32)));
+                }
+            }
         }
+        self.allocs += u64::from(self.heap.capacity() > heap_cap)
+            + u64::from(self.dirty.capacity() > dirty_cap);
         let mut out = self.inc.active().to_vec();
         out.sort_unstable();
         out

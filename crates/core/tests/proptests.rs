@@ -5,12 +5,15 @@
 use proptest::prelude::*;
 use rfid_core::exact::exact_mwfs_restricted;
 use rfid_core::{
-    covering_schedule_with, make_scheduler, AlgorithmKind, McsOptions, OneShotInput,
+    covering_schedule_with, make_scheduler, AlgorithmKind, HillClimbing, McsOptions, OneShotInput,
     OneShotScheduler,
 };
 use rfid_geometry::{Point, Rect};
 use rfid_model::interference::interference_graph;
-use rfid_model::{Coverage, Deployment, TagSet, WeightEvaluator};
+use rfid_model::{
+    Coverage, Deployment, IncrementalCore, ReaderId, Scenario, TagSet, WeightEvaluator,
+};
+use std::cmp::Reverse;
 
 /// Deployments with radii spanning two orders of magnitude — far harsher
 /// than the Poisson evaluation model; exactly the multi-level regime the
@@ -39,6 +42,135 @@ fn arb_wild_deployment() -> impl Strategy<Value = Deployment> {
                 tags.into_iter().map(|(x, y)| Point::new(x, y)).collect(),
             )
         })
+}
+
+/// Textbook eager GHC, the reference the engine is compared against:
+/// each pick scores every non-blocked, non-active reader in id order with
+/// `delta_if_added`, takes the `(delta, Reverse(v))` argmax and stops on
+/// the same rule as [`HillClimbing`].
+fn eager_ghc(input: &OneShotInput<'_>, admit_zero_gain: bool) -> Vec<ReaderId> {
+    let mut inc = IncrementalCore::new();
+    inc.reset(input.coverage, input.unread);
+    let mut blocked = vec![false; input.deployment.n_readers()];
+    loop {
+        let mut best: Option<(isize, Reverse<ReaderId>)> = None;
+        for (v, &is_blocked) in blocked.iter().enumerate() {
+            if is_blocked || inc.is_active(v) {
+                continue;
+            }
+            let key = (inc.delta_if_added(input.coverage, v), Reverse(v));
+            if best.is_none_or(|b| key > b) {
+                best = Some(key);
+            }
+        }
+        let Some((delta, Reverse(v))) = best else {
+            break;
+        };
+        if delta < 0 || (delta == 0 && !admit_zero_gain) {
+            break;
+        }
+        inc.add(input.coverage, v);
+        for &t in input.graph.neighbors(v) {
+            blocked[t as usize] = true;
+        }
+    }
+    let mut out = inc.active().to_vec();
+    out.sort_unstable();
+    out
+}
+
+fn ghc(admit_zero_gain: bool) -> HillClimbing {
+    let mut engine = HillClimbing::default();
+    engine.admit_zero_gain = admit_zero_gain;
+    engine
+}
+
+/// Runs a warm [`HillClimbing`] through `covering_schedule_with` and, on
+/// every slot, compares its pick with the eager reference and with a
+/// fresh engine given no precomputed singleton weights.
+struct CheckedGhc {
+    engine: HillClimbing,
+    slots: usize,
+    first_mismatch: Option<String>,
+}
+
+impl OneShotScheduler for CheckedGhc {
+    fn name(&self) -> &'static str {
+        "ghc"
+    }
+
+    fn schedule(&mut self, input: &OneShotInput<'_>) -> Vec<ReaderId> {
+        let got = self.engine.schedule(input);
+        let zero_gain = self.engine.admit_zero_gain;
+        let want = eager_ghc(input, zero_gain);
+        let bare = OneShotInput::new(input.deployment, input.coverage, input.graph, input.unread);
+        let fresh = ghc(zero_gain).schedule(&bare);
+        if (got != want || fresh != want) && self.first_mismatch.is_none() {
+            self.first_mismatch = Some(format!(
+                "slot {}: engine {got:?}, fresh engine {fresh:?}, eager {want:?}",
+                self.slots
+            ));
+        }
+        self.slots += 1;
+        got
+    }
+}
+
+/// Checks GHC against the eager reference on every slot of a covering
+/// schedule of `d`, under both stop rules; returns the slots compared.
+fn ghc_matches_eager_on_every_slot(d: &Deployment) -> Result<usize, TestCaseError> {
+    let c = Coverage::build(d);
+    let g = interference_graph(d);
+    let mut compared = 0;
+    for admit_zero_gain in [false, true] {
+        let mut checked = CheckedGhc {
+            engine: ghc(admit_zero_gain),
+            slots: 0,
+            first_mismatch: None,
+        };
+        covering_schedule_with(
+            d,
+            &c,
+            &g,
+            &mut checked,
+            &McsOptions::new().max_slots(50_000),
+        )
+        .expect("strict covering schedule diverged");
+        prop_assert!(
+            checked.first_mismatch.is_none(),
+            "admit_zero_gain = {}: {}",
+            admit_zero_gain,
+            checked.first_mismatch.unwrap()
+        );
+        compared += checked.slots;
+    }
+    Ok(compared)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// GHC's incremental gains and lazy heap pick exactly what the eager
+    /// rescan picks, on every slot's residual unread set.
+    #[test]
+    fn ghc_matches_eager_reference_on_wild_radii(d in arb_wild_deployment()) {
+        ghc_matches_eager_on_every_slot(&d)?;
+    }
+
+    /// As above at the paper's evaluation density (50 readers, 1200 tags).
+    /// `λ_r` ranges up to `λ_R`'s top so that interrogation regions of
+    /// independent readers overlap, the case where a tag's cover goes
+    /// from 1 to 2 and other readers' gains rise.
+    #[test]
+    fn ghc_matches_eager_reference_at_paper_density(
+        lambda_interference in 8.0..20.0f64,
+        lambda_interrogation in 2.0..20.0f64,
+        seed in 0u64..10_000,
+    ) {
+        let d = Scenario::paper_evaluation(lambda_interference, lambda_interrogation)
+            .generate(seed);
+        prop_assert!(ghc_matches_eager_on_every_slot(&d)? > 2);
+    }
 }
 
 proptest! {

@@ -399,6 +399,21 @@ impl IncrementalCore {
 
     /// Adds `v` to the active set; returns the weight delta.
     pub fn add(&mut self, coverage: &Coverage, v: ReaderId) -> isize {
+        self.add_reporting(coverage, v, |_, _| {})
+    }
+
+    /// As [`add`](Self::add), and calls `moved(w, change)` for every other
+    /// reader `w` of each tag whose active-cover count the addition moves,
+    /// with the change to `w`'s [`delta_if_added`](Self::delta_if_added):
+    /// a tag going from 0 to 1 cover turns `w`'s +1 into −1 (−2), one
+    /// going from 1 to 2 turns `w`'s −1 into 0 (+1). Summing the reports
+    /// keeps every reader's delta current without rescanning it.
+    pub fn add_reporting(
+        &mut self,
+        coverage: &Coverage,
+        v: ReaderId,
+        mut moved: impl FnMut(ReaderId, isize),
+    ) -> isize {
         assert!(!self.active[v], "reader {v} already active");
         let before = self.weight as isize;
         for &t in coverage.tags_of(v) {
@@ -408,10 +423,21 @@ impl IncrementalCore {
             }
             let c = self.count(t) + 1;
             self.set_count(t, c);
-            match c {
-                1 => self.weight += 1,
-                2 => self.weight -= 1,
-                _ => {}
+            let change = match c {
+                1 => {
+                    self.weight += 1;
+                    -2
+                }
+                2 => {
+                    self.weight -= 1;
+                    1
+                }
+                _ => continue,
+            };
+            for &w in coverage.readers_of(t) {
+                if w as usize != v {
+                    moved(w as usize, change);
+                }
             }
         }
         self.active[v] = true;
