@@ -195,7 +195,7 @@ pub enum Command {
         queue_cap: usize,
         /// Optional cache TTL in seconds.
         cache_ttl_secs: Option<u64>,
-        /// Directory for the cache journal + snapshots (omit = RAM-only).
+        /// Directory for the cache journal (omit = RAM-only).
         data_dir: Option<String>,
         /// Compact the journal after this many appends (0 = never).
         snapshot_every: usize,

@@ -42,79 +42,6 @@ impl Colorwave {
         }
     }
 
-    /// WCNC'03 VDCS (Variable-DCS): start from a small colour space and
-    /// let the conflict rate steer its size — grow it when more than
-    /// `up_threshold` of readers kicked this round, shrink it when fewer
-    /// than `down_threshold` did. Returns `(coloring, final_color_count)`;
-    /// the colouring is always proper (deterministic repair as in DCS).
-    pub fn color_vdcs(
-        &mut self,
-        graph: &Csr,
-        up_threshold: f64,
-        down_threshold: f64,
-    ) -> (Vec<usize>, usize) {
-        assert!(
-            0.0 <= down_threshold && down_threshold < up_threshold && up_threshold <= 1.0,
-            "need 0 ≤ down < up ≤ 1"
-        );
-        let n = graph.n();
-        if n == 0 {
-            return (Vec::new(), 0);
-        }
-        let mut colors = 2usize;
-        let cap = graph.max_degree() + 1;
-        let mut color: Vec<usize> = (0..n).map(|_| self.rng.random_range(0..colors)).collect();
-        for _ in 0..self.max_rounds {
-            let mut kicked = vec![false; n];
-            let mut any = false;
-            for (a, b) in graph.edges() {
-                if color[a] == color[b] {
-                    any = true;
-                    kicked[a.min(b)] = true;
-                }
-            }
-            if !any {
-                return (color, colors);
-            }
-            let kick_rate = kicked.iter().filter(|&&k| k).count() as f64 / n as f64;
-            if kick_rate > up_threshold && colors < cap {
-                colors += 1;
-            } else if kick_rate < down_threshold && colors > 2 {
-                colors -= 1;
-                // colours may now be out of range; redraw the overflowers
-                for c in color.iter_mut() {
-                    if *c >= colors {
-                        *c = self.rng.random_range(0..colors);
-                    }
-                }
-            }
-            for v in 0..n {
-                if kicked[v] {
-                    color[v] = self.rng.random_range(0..colors);
-                }
-            }
-        }
-        // Deterministic repair (may exceed `colors`).
-        for v in 0..n {
-            let clash = graph
-                .neighbors(v)
-                .iter()
-                .any(|&t| color[t as usize] == color[v]);
-            if clash {
-                let used: std::collections::BTreeSet<usize> = graph
-                    .neighbors(v)
-                    .iter()
-                    .map(|&t| color[t as usize])
-                    .collect();
-                color[v] = (0..)
-                    .find(|c| !used.contains(c))
-                    .expect("some colour is free");
-            }
-        }
-        let used = color.iter().copied().max().unwrap_or(0) + 1;
-        (color, used)
-    }
-
     /// Runs DCS and returns a proper colouring of `graph`.
     pub fn color(&mut self, graph: &Csr) -> Vec<usize> {
         self.color_observed(graph, None)
@@ -249,43 +176,6 @@ mod tests {
         cw.max_rounds = 0; // force deterministic repair path
         let color = cw.color(&g);
         assert!(is_proper_coloring(&g, &color));
-    }
-
-    #[test]
-    fn vdcs_is_proper_and_often_leaner_than_dcs() {
-        let mut leaner = 0;
-        for seed in 0..6 {
-            let d = scenario(40, seed);
-            let g = interference_graph(&d);
-            let mut cw = Colorwave::seeded(seed);
-            let (coloring, used) = cw.color_vdcs(&g, 0.15, 0.02);
-            assert!(is_proper_coloring(&g, &coloring), "seed {seed}");
-            assert!(used >= rfid_graph::coloring::num_colors(&coloring).min(used));
-            if used < g.max_degree() + 1 {
-                leaner += 1;
-            }
-        }
-        assert!(
-            leaner >= 3,
-            "VDCS should usually need fewer colours than Δ+1 ({leaner}/6)"
-        );
-    }
-
-    #[test]
-    fn vdcs_handles_degenerate_graphs() {
-        let empty = rfid_graph::Csr::from_edges(0, &[]);
-        let mut cw = Colorwave::seeded(0);
-        assert_eq!(cw.color_vdcs(&empty, 0.2, 0.05), (vec![], 0));
-        let edgeless = rfid_graph::Csr::from_edges(5, &[]);
-        let (coloring, _) = cw.color_vdcs(&edgeless, 0.2, 0.05);
-        assert!(is_proper_coloring(&edgeless, &coloring));
-    }
-
-    #[test]
-    #[should_panic(expected = "need 0 ≤ down < up")]
-    fn vdcs_rejects_bad_thresholds() {
-        let g = rfid_graph::Csr::from_edges(2, &[(0, 1)]);
-        let _ = Colorwave::seeded(0).color_vdcs(&g, 0.1, 0.5);
     }
 
     #[test]

@@ -60,14 +60,25 @@ pub fn exact_mwfs_budgeted(
     node_budget: u64,
 ) -> (Vec<ReaderId>, bool) {
     let mut scratch = MwfsScratch::new(coverage, unread);
-    exact_mwfs_in(&mut scratch, coverage, graph, candidates, base, node_budget)
+    let mut out = Vec::new();
+    let (_, complete) = exact_mwfs_weighted(
+        &mut scratch,
+        coverage,
+        graph,
+        candidates,
+        base,
+        node_budget,
+        None,
+        &mut out,
+    );
+    (out, complete)
 }
 
 /// Reusable solver state: the weight structures cost `O(n_tags)` to
 /// build, which dominated [`exact_mwfs_budgeted`] when Algorithm 2 calls
 /// it once per hop ball (a few dozen candidates each). Callers running
 /// many restricted searches against the *same* unread set construct one
-/// scratch per slot and pass it to [`exact_mwfs_in`];
+/// scratch per slot and pass it to [`exact_mwfs_weighted`];
 /// [`reset`](Self::reset) re-snapshots it for the next slot.
 ///
 /// Besides the weight cores the scratch also owns the search's working
@@ -121,38 +132,15 @@ impl MwfsScratch {
     }
 }
 
-/// [`exact_mwfs_budgeted`] against a caller-owned [`MwfsScratch`] — the
-/// unread set is the one snapshotted in the scratch, and `coverage` must
-/// be the table it was reset against. Bit-identical to the allocating
-/// form; the scratch is returned clean (empty active set) for the next
-/// call.
-pub fn exact_mwfs_in(
-    scratch: &mut MwfsScratch,
-    coverage: &Coverage,
-    graph: &Csr,
-    candidates: &[ReaderId],
-    base: &[ReaderId],
-    node_budget: u64,
-) -> (Vec<ReaderId>, bool) {
-    let mut out = Vec::new();
-    let (_, complete) = exact_mwfs_weighted(
-        scratch,
-        coverage,
-        graph,
-        candidates,
-        base,
-        node_budget,
-        None,
-        &mut out,
-    );
-    (out, complete)
-}
-
 /// The allocation-free core behind every exact-MWFS entry point: writes
 /// the best subset of `candidates` (sorted ascending) into `out` and
 /// returns `(w(out ∪ base), completed-within-budget)` — the weight the
 /// branch and bound already tracked, so callers comparing weights (the
 /// Algorithm 2 growth test) skip a full re-evaluation.
+///
+/// The unread set is the one snapshotted in `scratch`, and `coverage`
+/// must be the table it was reset against; the scratch is returned clean
+/// (empty active set) for the next call.
 ///
 /// `singleton`, when given, must satisfy `singleton[v] == w({v})` under
 /// the scratch's unread snapshot for every candidate; the search then
@@ -165,7 +153,7 @@ pub fn exact_mwfs_in(
 /// zero and the sub-additive prune `w + suffix ≤ best_w` (with
 /// `best_w ≥ w` after the just-performed incumbent update) always fires.
 /// Dropping them only shrinks the sorted prefix work, never the result.
-#[allow(clippy::too_many_arguments)] // mirrors exact_mwfs_in plus the two fast-path inputs
+#[allow(clippy::too_many_arguments)] // the search inputs plus the two fast-path inputs
 pub fn exact_mwfs_weighted(
     scratch: &mut MwfsScratch,
     coverage: &Coverage,

@@ -22,11 +22,11 @@
 //!
 //! ## Covering schedules (MCS)
 //!
-//! [`mcs::covering_schedule`] iterates a one-shot scheduler slot by slot,
-//! marking well-covered tags as served, until every coverable tag has
-//! been read — the paper's `log n`-approximation backbone (Theorem 1).
-//! [`McsOptions`] selects the algorithm, the [`mcs::FaultPolicy`] and the
-//! observation sinks (DESIGN.md §8); it is the only covering-schedule
+//! [`mcs::covering_schedule_with`] iterates a one-shot scheduler slot by
+//! slot, marking well-covered tags as served, until every coverable tag
+//! has been read — the paper's `log n`-approximation backbone (Theorem 1).
+//! [`McsOptions`] selects the [`mcs::FaultPolicy`], the slot budget and
+//! the observation sinks (DESIGN.md §8); it is the only covering-schedule
 //! entry point — the pre-0.1 `greedy`/`try_greedy`/
 //! `resilient_covering_schedule` shims were removed.
 //!
@@ -58,8 +58,8 @@ pub use hill_climbing::HillClimbing;
 pub use local_greedy::LocalGreedy;
 pub use local_search::{improve_schedule, ImprovementReport};
 pub use mcs::{
-    covering_schedule, covering_schedule_with, CoveringSchedule, FaultPolicy, McsOptions, McsRun,
-    ScheduleError, SlotRecord,
+    covering_schedule_with, CoveringSchedule, FaultPolicy, McsOptions, McsRun, ScheduleError,
+    SlotRecord,
 };
 pub use ptas::PtasScheduler;
 pub use registry::{SchedulerEntry, SchedulerRegistry};

@@ -15,7 +15,7 @@
 //! (always weight ≥ 1), so the schedule always terminates — the guard
 //! counts as a normal slot and is recorded for diagnostics.
 
-use crate::scheduler::{make_scheduler, AlgorithmKind, OneShotInput, OneShotScheduler};
+use crate::scheduler::{OneShotInput, OneShotScheduler};
 use rfid_graph::Csr;
 use rfid_model::{
     audit_activation, Coverage, CoverageRows, Deployment, PlaneScratch, ReaderId, SingletonWeights,
@@ -227,13 +227,11 @@ pub enum FaultPolicy {
     Resilient,
 }
 
-/// Options for [`covering_schedule`] / [`covering_schedule_with`]: the
-/// algorithm choice, the fault policy and the metrics sinks, replacing
-/// the old `greedy`/`try_greedy`/`resilient` triple of entry points.
+/// Options for [`covering_schedule_with`]: the fault policy, the slot
+/// budget and the metrics sinks, replacing the old
+/// `greedy`/`try_greedy`/`resilient` triple of entry points.
 #[derive(Default)]
 pub struct McsOptions<'a> {
-    algorithm: AlgorithmKind,
-    seed: u64,
     fault_policy: FaultPolicy,
     max_slots: Option<usize>,
     subscriber: Option<&'a dyn Subscriber>,
@@ -241,25 +239,10 @@ pub struct McsOptions<'a> {
 }
 
 impl<'a> McsOptions<'a> {
-    /// Defaults: Algorithm 2 (central local greedy), seed 0, strict fault
-    /// policy, a one-million-slot budget, no subscriber, no per-slot
-    /// metrics.
+    /// Defaults: strict fault policy, a one-million-slot budget, no
+    /// subscriber, no per-slot metrics.
     pub fn new() -> Self {
         McsOptions::default()
-    }
-
-    /// Selects the one-shot algorithm [`covering_schedule`] instantiates.
-    /// Ignored by [`covering_schedule_with`], which takes the scheduler
-    /// directly.
-    pub fn algorithm(mut self, algorithm: AlgorithmKind) -> Self {
-        self.algorithm = algorithm;
-        self
-    }
-
-    /// Seed for randomised algorithms (Colorwave's colour draws).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
     }
 
     /// Selects the [`FaultPolicy`].
@@ -299,7 +282,7 @@ impl<'a> McsOptions<'a> {
     }
 }
 
-/// Outcome of [`covering_schedule`] / [`covering_schedule_with`]: the
+/// Outcome of [`covering_schedule_with`]: the
 /// schedule, optional per-slot metrics, and an account of every
 /// degradation the resilient policy absorbed (all zero under
 /// [`FaultPolicy::Strict`], which errors instead of degrading).
@@ -329,39 +312,29 @@ impl McsRun {
     }
 }
 
-/// Runs the greedy covering-schedule loop, instantiating the one-shot
-/// scheduler selected by [`McsOptions::algorithm`]. This is the single
-/// entry point for strict, fallible and resilient runs alike; the
-/// pre-0.1 `greedy`/`try_greedy`/`resilient_covering_schedule` triple it
+/// Runs the greedy covering-schedule loop with a caller-provided
+/// one-shot scheduler. This is the single entry point for strict,
+/// fallible and resilient runs alike; the pre-0.1
+/// `greedy`/`try_greedy`/`resilient_covering_schedule` triple it
 /// replaced has been removed.
-///
-/// ```
-/// use rfid_core::{covering_schedule, AlgorithmKind, McsOptions};
-/// use rfid_model::{interference::interference_graph, Coverage, Scenario};
-/// let d = Scenario::paper_evaluation(14.0, 6.0).generate(7);
-/// let coverage = Coverage::build(&d);
-/// let graph = interference_graph(&d);
-/// let options = McsOptions::new().algorithm(AlgorithmKind::LocalGreedy);
-/// let run = covering_schedule(&d, &coverage, &graph, &options).unwrap();
-/// // every coverable tag is read exactly once
-/// assert_eq!(run.schedule.tags_served(), coverage.coverable_count());
-/// ```
-pub fn covering_schedule(
-    deployment: &Deployment,
-    coverage: &Coverage,
-    graph: &Csr,
-    options: &McsOptions<'_>,
-) -> Result<McsRun, ScheduleError> {
-    let mut scheduler = make_scheduler(options.algorithm, options.seed);
-    covering_schedule_with(deployment, coverage, graph, scheduler.as_mut(), options)
-}
-
-/// Like [`covering_schedule`] but drives a caller-provided one-shot
-/// scheduler instance ([`McsOptions::algorithm`]/`seed` are ignored).
 ///
 /// Under [`FaultPolicy::Strict`] a stalled or over-budget run returns a
 /// [`ScheduleError`]; under [`FaultPolicy::Resilient`] it never errors —
 /// unreachable tags are reported in [`McsRun::abandoned_tags`].
+///
+/// ```
+/// use rfid_core::{covering_schedule_with, make_scheduler, AlgorithmKind, McsOptions};
+/// use rfid_model::{interference::interference_graph, Coverage, Scenario};
+/// let d = Scenario::paper_evaluation(14.0, 6.0).generate(7);
+/// let coverage = Coverage::build(&d);
+/// let graph = interference_graph(&d);
+/// let mut scheduler = make_scheduler(AlgorithmKind::LocalGreedy, 0);
+/// let run =
+///     covering_schedule_with(&d, &coverage, &graph, scheduler.as_mut(), &McsOptions::new())
+///         .unwrap();
+/// // every coverable tag is read exactly once
+/// assert_eq!(run.schedule.tags_served(), coverage.coverable_count());
+/// ```
 pub fn covering_schedule_with(
     deployment: &Deployment,
     coverage: &Coverage,

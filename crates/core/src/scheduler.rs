@@ -302,15 +302,6 @@ pub enum AlgorithmKind {
     Exact,
 }
 
-// Manual impl rather than `#[derive(Default)]`: the vendored serde derive
-// walks variant attributes and does not understand `#[default]`.
-#[allow(clippy::derivable_impls)]
-impl Default for AlgorithmKind {
-    fn default() -> Self {
-        AlgorithmKind::LocalGreedy
-    }
-}
-
 impl AlgorithmKind {
     /// The five algorithms compared in the paper's evaluation, in figure
     /// legend order.

@@ -47,12 +47,6 @@ impl Point {
         self.dist_sq(other).sqrt()
     }
 
-    /// `true` iff `other` lies strictly within distance `r` of `self`.
-    #[inline]
-    pub fn within_strict(&self, other: Point, r: f64) -> bool {
-        self.dist_sq(other) < r * r
-    }
-
     /// `true` iff `other` lies within distance `r` of `self`, boundary
     /// included.
     #[inline]
@@ -127,9 +121,8 @@ mod tests {
     fn strict_vs_inclusive_threshold() {
         let a = Point::ORIGIN;
         let b = Point::new(5.0, 0.0);
-        assert!(a.within(b, 5.0));
-        assert!(!a.within_strict(b, 5.0));
-        assert!(a.within_strict(b, 5.0 + 1e-9));
+        assert!(a.within(b, 5.0), "the boundary is inside");
+        assert!(!a.within(b, 5.0 - 1e-9));
     }
 
     #[test]

@@ -112,17 +112,6 @@ impl Rect {
             self.max_y + margin,
         )
     }
-
-    /// Splits into four equal quadrants `[SW, SE, NW, NE]`.
-    pub fn quadrants(&self) -> [Rect; 4] {
-        let c = self.center();
-        [
-            Rect::new(self.min_x, self.min_y, c.x, c.y),
-            Rect::new(c.x, self.min_y, self.max_x, c.y),
-            Rect::new(self.min_x, c.y, c.x, self.max_y),
-            Rect::new(c.x, c.y, self.max_x, self.max_y),
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -171,17 +160,6 @@ mod tests {
         assert!(r.intersects_disk(Point::new(3.0, 1.0), 1.0)); // touches edge
         assert!(!r.intersects_disk(Point::new(3.0, 1.0), 0.5));
         assert!(r.intersects_disk(Point::new(1.0, 1.0), 0.1)); // inside
-    }
-
-    #[test]
-    fn quadrants_tile_the_rect() {
-        let r = Rect::new(0.0, 0.0, 4.0, 4.0);
-        let qs = r.quadrants();
-        let total: f64 = qs.iter().map(|q| q.area()).sum();
-        assert_eq!(total, r.area());
-        for q in &qs {
-            assert!(r.contains_rect(q));
-        }
     }
 
     #[test]

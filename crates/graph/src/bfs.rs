@@ -53,8 +53,8 @@ impl BfsScratch {
         self.multi_ball_into(g, std::slice::from_ref(&src), r, out);
     }
 
-    /// [`multi_source_ball`] into a caller-owned buffer (cleared first),
-    /// sorted ascending. Identical output to the allocating form.
+    /// Multi-source ball into a caller-owned buffer (cleared first):
+    /// nodes within hop distance `r` of *any* source, sorted ascending.
     pub fn multi_ball_into(&mut self, g: &Csr, sources: &[usize], r: u32, out: &mut Vec<usize>) {
         self.ensure(g.n());
         self.stamp += 1;
@@ -116,15 +116,6 @@ pub fn k_hop_ball(g: &Csr, src: usize, r: u32) -> Vec<usize> {
     out
 }
 
-/// Multi-source ball: nodes within hop distance `r` of *any* source.
-/// Sorted ascending. Used when Algorithm 2 removes `N(Γ)^1`-style unions.
-pub fn multi_source_ball(g: &Csr, sources: &[usize], r: u32) -> Vec<usize> {
-    let mut scratch = BfsScratch::new(g.n());
-    let mut out = Vec::new();
-    scratch.multi_ball_into(g, sources, r, &mut out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,10 +151,16 @@ mod tests {
     #[test]
     fn multi_source_union() {
         let g = path_plus_isolate();
-        assert_eq!(multi_source_ball(&g, &[0, 4], 1), vec![0, 1, 3, 4]);
-        assert_eq!(multi_source_ball(&g, &[0, 5], 1), vec![0, 1, 5]);
+        let mut scratch = BfsScratch::new(g.n());
+        let mut ball = |sources: &[usize], r| {
+            let mut out = Vec::new();
+            scratch.multi_ball_into(&g, sources, r, &mut out);
+            out
+        };
+        assert_eq!(ball(&[0, 4], 1), vec![0, 1, 3, 4]);
+        assert_eq!(ball(&[0, 5], 1), vec![0, 1, 5]);
         // duplicated sources are fine
-        assert_eq!(multi_source_ball(&g, &[2, 2], 0), vec![2]);
+        assert_eq!(ball(&[2, 2], 0), vec![2]);
     }
 
     #[test]
@@ -179,7 +176,7 @@ mod tests {
             }
         }
         scratch.multi_ball_into(&g, &[0, 6, 6], 1, &mut out);
-        assert_eq!(out, multi_source_ball(&g, &[0, 6, 6], 1));
+        assert_eq!(out, vec![0, 1, 2, 5, 6]);
         assert_eq!(scratch.take_allocs(), 0, "warm scratch must not allocate");
     }
 }

@@ -246,7 +246,7 @@ impl ScheduleCache {
         map.get(&key).is_some_and(|e| !self.expired(e))
     }
 
-    /// All live entries, for snapshots and peer gossip. Payloads are
+    /// All live entries, for journal compaction and peer gossip. Payloads are
     /// `Arc` clones (pointer copies); order is unspecified — consumers
     /// that need determinism sort by key.
     pub fn entries(&self) -> Vec<(u64, Arc<str>)> {

@@ -1,5 +1,6 @@
-//! Append-only, checksummed journal of cache inserts + the
-//! [`DurableStore`] that orchestrates journal, snapshot and compaction.
+//! The one durable file: an append-only, checksummed journal of cache
+//! inserts, and the [`DurableStore`] that appends to it, compacts it and
+//! recovers from it. No other module knows the on-disk format.
 //!
 //! Format: one JSON record per line —
 //! `{"crc":"<16 hex>","key":"<16 hex>","payload":"<canonical outcome>"}`
@@ -10,27 +11,26 @@
 //! it stops at the first record that fails to parse or whose checksum
 //! disagrees (torn tail, flipped byte, truncation) and reports how many
 //! bytes it dropped. Replay is idempotent — records are keyed inserts of
-//! pure functions of the key — which is what lets compaction crash
-//! between "snapshot written" and "journal truncated" without harm.
+//! pure functions of the key — so recovery keeps each key once, at its
+//! first position, with its last payload.
 //!
-//! Compaction policy: after every `snapshot_every` successful appends
-//! the [`DurableStore`] writes the live cache contents as a checksummed
-//! snapshot ([`crate::snapshot`], atomic replace) and empties the
-//! journal. Recovery loads the snapshot first, then overlays the
-//! journal.
+//! One rewrite replaces the whole file through a single
+//! [`Storage::replace`] (temp file, fsync, rename), so a crash leaves
+//! the old journal or the new one, never a mix. It serves two ends:
+//! compaction, which after every `snapshot_every` successful appends
+//! rewrites the journal to one record per live cache entry, sorted by
+//! key; and repair, which cuts a torn tail found at recovery so that
+//! records appended after a restart never sit behind a torn one.
 
 use crate::codec::fnv1a64;
-use crate::snapshot;
 use crate::storage::Storage;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Journal file name under the data directory.
+/// Journal file name under the data directory — the only durable file.
 pub const JOURNAL_FILE: &str = "journal.jsonl";
-/// Snapshot file name under the data directory.
-pub const SNAPSHOT_FILE: &str = "snapshot.json";
 
 /// One journal line (serde field order is irrelevant — records are
 /// parsed, not byte-compared).
@@ -117,111 +117,98 @@ pub struct DurableStats {
     /// Appends that failed (denied/torn I/O) — the entry stayed
     /// RAM-only; the service keeps serving.
     pub append_errors: u64,
-    /// Snapshots written by compaction.
-    pub snapshots: u64,
-    /// Snapshot/compaction attempts that failed.
-    pub snapshot_errors: u64,
+    /// Compactions that rewrote the journal.
+    pub compactions: u64,
 }
 
 /// What startup recovery found.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RecoveryReport {
-    /// Recovered `(key, payload)` pairs — snapshot overlaid by journal.
+    /// Recovered `(key, payload)` pairs: each key once, at its first
+    /// position, with its last payload.
     pub entries: Vec<(u64, String)>,
-    /// Entries contributed by the snapshot.
-    pub snapshot_entries: usize,
     /// Valid journal records replayed.
     pub journal_records: usize,
-    /// Journal bytes dropped after the longest valid prefix.
+    /// Journal bytes dropped after the longest valid prefix (and cut
+    /// from the file by the repair rewrite).
     pub dropped_bytes: usize,
-    /// Human-readable recovery problems (corrupt snapshot, dead disk) —
+    /// Human-readable recovery problems (dead disk, failed repair) —
     /// recovery is best-effort, so these are reported, not thrown.
     pub errors: Vec<String>,
 }
 
-struct CompactionState {
-    appends_since_snapshot: usize,
-}
-
-/// Journal + snapshot + compaction over an injectable [`Storage`].
+/// The journal, its compaction and its recovery over an injectable
+/// [`Storage`].
 pub struct DurableStore {
     storage: Arc<dyn Storage>,
     snapshot_every: usize,
-    state: Mutex<CompactionState>,
+    /// Appends since the last compaction; the lock also serialises
+    /// appends with the rewrites.
+    appends_since_compaction: Mutex<usize>,
     appends: AtomicU64,
     append_errors: AtomicU64,
-    snapshots: AtomicU64,
-    snapshot_errors: AtomicU64,
+    compactions: AtomicU64,
 }
 
 impl DurableStore {
-    /// A store journaling through `storage`, snapshotting every
+    /// A store journaling through `storage`, compacting every
     /// `snapshot_every` appends (`0` = never compact).
     pub fn new(storage: Arc<dyn Storage>, snapshot_every: usize) -> DurableStore {
         DurableStore {
             storage,
             snapshot_every,
-            state: Mutex::new(CompactionState {
-                appends_since_snapshot: 0,
-            }),
+            appends_since_compaction: Mutex::new(0),
             appends: AtomicU64::new(0),
             append_errors: AtomicU64::new(0),
-            snapshots: AtomicU64::new(0),
-            snapshot_errors: AtomicU64::new(0),
+            compactions: AtomicU64::new(0),
         }
     }
 
-    /// Loads snapshot + journal into the recovered entry list. Tolerates
-    /// a missing data dir (cold start), a torn/corrupt journal tail
-    /// (longest valid prefix) and a corrupt snapshot (ignored, reported).
+    /// Replays the journal into the recovered entry list. Tolerates a
+    /// missing file (cold start) and a dead disk (reported), and keeps
+    /// the longest valid prefix of a torn or corrupt journal — then
+    /// rewrites the file to that prefix, so later appends follow a
+    /// valid record instead of the torn one.
     pub fn recover(&self) -> RecoveryReport {
         let mut report = RecoveryReport::default();
-        match self.storage.read(SNAPSHOT_FILE) {
-            Ok(bytes) => match snapshot::decode(&bytes) {
-                Ok(entries) => {
-                    report.snapshot_entries = entries.len();
-                    report.entries = entries;
-                }
-                Err(e) => report.errors.push(format!("snapshot corrupt: {e}")),
-            },
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => report.errors.push(format!("snapshot read: {e}")),
-        }
-        match self.storage.read(JOURNAL_FILE) {
-            Ok(bytes) => {
-                let replayed = replay(&bytes);
-                report.journal_records = replayed.entries.len();
-                report.dropped_bytes = replayed.dropped_bytes;
-                // Overlay: journal entries win over snapshot entries of
-                // the same key (they are identical payloads anyway — the
-                // payload is a pure function of the key). A key keeps the
-                // position it was first seen at; the last payload wins.
-                let mut position: HashMap<u64, usize> =
-                    HashMap::with_capacity(report.entries.len() + replayed.entries.len());
-                for (i, (key, _)) in report.entries.iter().enumerate() {
-                    position.entry(*key).or_insert(i);
-                }
-                for (key, payload) in replayed.entries {
-                    match position.get(&key) {
-                        Some(&i) => report.entries[i].1 = payload,
-                        None => {
-                            position.insert(key, report.entries.len());
-                            report.entries.push((key, payload));
-                        }
-                    }
+        let bytes = match self.storage.read(JOURNAL_FILE) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return report,
+            Err(e) => {
+                report.errors.push(format!("journal read: {e}"));
+                return report;
+            }
+        };
+        let replayed = replay(&bytes);
+        report.journal_records = replayed.entries.len();
+        report.dropped_bytes = replayed.dropped_bytes;
+        // A key keeps the position it was first seen at; the last
+        // payload wins (they are identical anyway — the payload is a
+        // pure function of the key).
+        let mut position: HashMap<u64, usize> = HashMap::with_capacity(replayed.entries.len());
+        for (key, payload) in replayed.entries {
+            match position.get(&key) {
+                Some(&i) => report.entries[i].1 = payload,
+                None => {
+                    position.insert(key, report.entries.len());
+                    report.entries.push((key, payload));
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => report.errors.push(format!("journal read: {e}")),
+        }
+        if report.dropped_bytes > 0 {
+            let _guard = self.lock();
+            if let Err(e) = self.rewrite(report.entries.iter().map(|(k, p)| (*k, p.as_str()))) {
+                report.errors.push(format!("journal repair: {e}"));
+            }
         }
         report
     }
 
     /// Durably records one cache insert, then compacts if the policy
     /// says so. `live` is called only when compacting and must return
-    /// the full set of entries the snapshot should hold (the live cache
-    /// contents). Best-effort: failures land in the counters and the
-    /// returned flag, never in the request path.
+    /// the full set of entries the compacted journal should hold (the
+    /// live cache contents). Best-effort: failures land in the counters
+    /// and the returned flag, never in the request path.
     ///
     /// Returns `true` when the append reached storage.
     pub fn persist(
@@ -230,38 +217,43 @@ impl DurableStore {
         payload: &str,
         live: &dyn Fn() -> Vec<(u64, Arc<str>)>,
     ) -> bool {
-        let mut state = self.state.lock().expect("durable state poisoned");
+        let mut since = self.lock();
         let line = encode_record(key, payload);
-        match self.storage.append(JOURNAL_FILE, line.as_bytes()) {
-            Ok(()) => {
-                self.appends.fetch_add(1, Ordering::Relaxed);
-                state.appends_since_snapshot += 1;
-            }
-            Err(_) => {
-                self.append_errors.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
+        if self.storage.append(JOURNAL_FILE, line.as_bytes()).is_err() {
+            self.append_errors.fetch_add(1, Ordering::Relaxed);
+            return false;
         }
-        if self.snapshot_every > 0 && state.appends_since_snapshot >= self.snapshot_every {
-            // Snapshot first, truncate second: a crash in between leaves
-            // journal records that replay idempotently over the snapshot.
-            let entries = live();
-            let encoded = snapshot::encode(&entries);
-            let compacted = self
-                .storage
-                .replace(SNAPSHOT_FILE, encoded.as_bytes())
-                .and_then(|()| self.storage.replace(JOURNAL_FILE, b""));
-            match compacted {
-                Ok(()) => {
-                    self.snapshots.fetch_add(1, Ordering::Relaxed);
-                    state.appends_since_snapshot = 0;
-                }
-                Err(_) => {
-                    self.snapshot_errors.fetch_add(1, Ordering::Relaxed);
-                }
+        self.appends.fetch_add(1, Ordering::Relaxed);
+        *since += 1;
+        if self.snapshot_every > 0 && *since >= self.snapshot_every {
+            let mut entries = live();
+            entries.sort_unstable_by_key(|(key, _)| *key);
+            // A failed rewrite leaves the appended journal in place; the
+            // next append retries.
+            if self
+                .rewrite(entries.iter().map(|(k, p)| (*k, p.as_ref())))
+                .is_ok()
+            {
+                self.compactions.fetch_add(1, Ordering::Relaxed);
+                *since = 0;
             }
         }
         true
+    }
+
+    /// Replaces the journal with one record per entry, in order. Callers
+    /// hold the append lock.
+    fn rewrite<'a>(&self, entries: impl Iterator<Item = (u64, &'a str)>) -> std::io::Result<()> {
+        let bytes: String = entries
+            .map(|(key, payload)| encode_record(key, payload))
+            .collect();
+        self.storage.replace(JOURNAL_FILE, bytes.as_bytes())
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, usize> {
+        self.appends_since_compaction
+            .lock()
+            .expect("durable state poisoned")
     }
 
     /// Point-in-time counters.
@@ -269,8 +261,7 @@ impl DurableStore {
         DurableStats {
             appends: self.appends.load(Ordering::Relaxed),
             append_errors: self.append_errors.load(Ordering::Relaxed),
-            snapshots: self.snapshots.load(Ordering::Relaxed),
-            snapshot_errors: self.snapshot_errors.load(Ordering::Relaxed),
+            compactions: self.compactions.load(Ordering::Relaxed),
         }
     }
 }
@@ -358,27 +349,27 @@ mod tests {
     fn compaction_snapshots_then_empties_the_journal() {
         let (storage, root) = disk("compact");
         let store = DurableStore::new(Arc::clone(&storage), 2);
+        // The live set arrives unsorted; the compacted journal is sorted.
         let live = || {
             vec![
-                (1u64, Arc::<str>::from("one")),
                 (2u64, Arc::<str>::from("two")),
+                (1u64, Arc::<str>::from("one")),
             ]
         };
-        store.persist(1, "one", &live);
         store.persist(2, "two", &live);
-        assert_eq!(store.stats().snapshots, 1);
+        store.persist(1, "one", &live);
+        assert_eq!(store.stats().compactions, 1);
+        let compacted = encode_record(1, "one") + &encode_record(2, "two");
         assert_eq!(
             storage.read(JOURNAL_FILE).unwrap(),
-            b"",
-            "journal empties after compaction"
+            compacted.as_bytes(),
+            "compaction rewrites the journal to one record per live entry"
         );
-        // A third insert lands in the fresh journal; recovery overlays.
+        // A third insert is appended to the compacted journal.
         store.persist(3, "three", &live);
         let report = store.recover();
-        assert_eq!(report.snapshot_entries, 2);
-        assert_eq!(report.journal_records, 1);
-        let mut keys: Vec<u64> = report.entries.iter().map(|(k, _)| *k).collect();
-        keys.sort_unstable();
+        assert_eq!(report.journal_records, 3);
+        let keys: Vec<u64> = report.entries.iter().map(|(k, _)| *k).collect();
         assert_eq!(keys, vec![1, 2, 3]);
         std::fs::remove_dir_all(&root).ok();
     }
@@ -386,12 +377,13 @@ mod tests {
     #[test]
     fn repeated_keys_recover_once_with_their_last_payload() {
         let (storage, root) = disk("repeats");
-        storage
-            .replace(
-                SNAPSHOT_FILE,
-                snapshot::encode(&[(1u64, Arc::from("one")), (2u64, Arc::from("two"))]).as_bytes(),
-            )
-            .unwrap();
+        // A compacted prefix holding keys 1 and 2 ...
+        let live = || vec![(1u64, Arc::from("one")), (2u64, Arc::from("two"))];
+        let compacting = DurableStore::new(Arc::clone(&storage), 2);
+        compacting.persist(1, "one", &live);
+        compacting.persist(2, "two", &live);
+        assert_eq!(compacting.stats().compactions, 1);
+        // ... then appends that repeat both new and compacted keys.
         let store = DurableStore::new(Arc::clone(&storage), 0);
         for (key, payload) in [
             (3, "three"),
@@ -403,8 +395,7 @@ mod tests {
             assert!(store.persist(key, payload, &Vec::new));
         }
         let report = store.recover();
-        assert_eq!(report.snapshot_entries, 2);
-        assert_eq!(report.journal_records, 5);
+        assert_eq!(report.journal_records, 7);
         assert_eq!(
             report.entries,
             vec![
@@ -429,11 +420,26 @@ mod tests {
         assert!(store.persist(2, "two", &Vec::new));
         assert!(!store.persist(3, "three", &Vec::new), "torn mid-write");
         assert_eq!(store.stats().append_errors, 1);
-        // "Restart" over the same directory with healthy storage.
-        let recovered = DurableStore::new(inner, 0).recover();
+        // "Restart" over the same directory with healthy storage: the
+        // torn tail is dropped, and cut from the file.
+        let restarted = DurableStore::new(Arc::clone(&inner), 0);
+        let recovered = restarted.recover();
         assert_eq!(recovered.journal_records, 2);
+        assert!(recovered.dropped_bytes > 0, "the tear left bytes behind");
+        assert!(recovered.errors.is_empty(), "{:?}", recovered.errors);
         let keys: Vec<u64> = recovered.entries.iter().map(|(k, _)| *k).collect();
         assert_eq!(keys, vec![1, 2]);
+        let prefix = encode_record(1, "one") + &encode_record(2, "two");
+        assert_eq!(inner.read(JOURNAL_FILE).unwrap(), prefix.as_bytes());
+        // Records appended after the restart follow a valid record, so a
+        // second restart recovers them too.
+        for (key, payload) in [(3, "three"), (4, "four"), (5, "five")] {
+            assert!(restarted.persist(key, payload, &Vec::new));
+        }
+        let again = DurableStore::new(inner, 0).recover();
+        assert_eq!(again.dropped_bytes, 0);
+        let keys: Vec<u64> = again.entries.iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys, vec![1, 2, 3, 4, 5]);
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -446,7 +452,12 @@ mod tests {
         ));
         let report = DurableStore::new(faulty, 0).recover();
         assert!(report.entries.is_empty());
-        assert_eq!(report.errors.len(), 2, "{:?}", report.errors);
+        assert_eq!(report.errors.len(), 1, "{:?}", report.errors);
+        assert!(
+            report.errors[0].starts_with("journal read"),
+            "{:?}",
+            report.errors
+        );
         std::fs::remove_dir_all(&root).ok();
     }
 }

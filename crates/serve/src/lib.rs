@@ -12,7 +12,7 @@
 //!    same bytes and therefore the same cache key.
 //! 2. **Cache** ([`cache`]) — a sharded `RwLock` LRU keyed by content
 //!    hash, with capacity/TTL bounds and hit/miss/eviction counters
-//!    exported through `rfid-obs`.
+//!    exported through [`ServiceStats`].
 //! 3. **Queue + workers** ([`queue`], [`service`]) — a bounded work
 //!    queue with backpressure (a full queue is a structured `429`-style
 //!    reject, never a hang or a silent drop), per-request deadlines and
@@ -23,12 +23,12 @@
 //!    Every full, delta and key frame is one [`Target`] through
 //!    [`Service::submit`]. [`TcpClient`] ([`client`]) is the one client:
 //!    one peer, or failover across a peer list.
-//! 5. **Durability + replication** (DESIGN.md §10) — an append-only
-//!    checksummed journal with compacted snapshots over an injectable
-//!    [`Storage`] trait ([`storage`], [`journal`], [`snapshot`]), so a
-//!    restarted daemon recovers a warm cache from the longest valid
-//!    journal prefix; push-only cache gossip between peer daemons
-//!    ([`replicate`]); and [`TcpClient::failover`], which retries
+//! 5. **Durability + replication** (DESIGN.md §10) — one durable file,
+//!    an append-only checksummed journal that compaction rewrites in
+//!    place, over an injectable [`Storage`] trait ([`storage`],
+//!    [`journal`]), so a restarted daemon recovers a warm cache from the
+//!    longest valid journal prefix; push-only cache gossip between peer
+//!    daemons ([`replicate`]); and [`TcpClient::failover`], which retries
 //!    idempotent requests against the next peer.
 //! 6. **Sharding** ([`ring`], [`router`]) — a consistent-hash ring over
 //!    the FNV-1a content keys and a thin `mrrfid route` process that
@@ -73,7 +73,6 @@ pub mod ring;
 pub mod router;
 pub mod server;
 pub mod service;
-pub mod snapshot;
 pub mod storage;
 
 pub use cache::{CacheStats, ScheduleCache};

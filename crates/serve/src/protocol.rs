@@ -282,14 +282,15 @@ pub struct ServiceStats {
     pub queue_depth: u64,
     /// Worker threads serving the queue.
     pub workers: u64,
-    /// Cache entries recovered from the journal/snapshot at startup
+    /// Cache entries recovered from the journal at startup
     /// (`0` on a cold start — the warm/cold discriminator).
     pub recovered_entries: u64,
     /// Journal records appended durably.
     pub journal_appends: u64,
     /// Journal appends that failed (entry stayed RAM-only).
     pub journal_append_errors: u64,
-    /// Compaction snapshots written.
+    /// Compactions that rewrote the journal (every `snapshot_every`
+    /// appends).
     pub snapshots_written: u64,
     /// Cache entries handed to the replicator for peer push.
     pub replicated_out: u64,

@@ -341,7 +341,7 @@ mod tests {
         let (stats, metrics) = client.stats().unwrap();
         assert_eq!(stats.cache_hits, 1);
         assert_eq!(stats.solved, 1);
-        assert!(metrics.contains("serve.cache.hit"));
+        assert!(metrics.contains("serve.admission.alloc"), "{metrics}");
         server.shutdown();
     }
 

@@ -202,11 +202,11 @@ pub struct ServeConfig {
     pub cache_cap: usize,
     /// Optional time-to-live for cache entries.
     pub cache_ttl: Option<Duration>,
-    /// Directory for the journal + snapshot (DESIGN.md §10). `None`
-    /// keeps the cache RAM-only (the pre-durability behaviour).
+    /// Directory for the journal, the one durable file (DESIGN.md §10).
+    /// `None` keeps the cache RAM-only.
     pub data_dir: Option<PathBuf>,
-    /// Compact the journal into a snapshot after this many appends
-    /// (`0` = never compact).
+    /// Compact the journal after this many appends: rewrite it to one
+    /// record per live cache entry (`0` = never compact).
     pub snapshot_every: usize,
     /// Peer daemon addresses to gossip cache entries to.
     pub peers: Vec<String>,
@@ -274,7 +274,7 @@ struct Inner {
     shutting_down: AtomicBool,
     workers: usize,
     handles: Mutex<Vec<JoinHandle<()>>>,
-    /// Journal + snapshot persistence; `None` = RAM-only.
+    /// Journal persistence; `None` = RAM-only.
     durable: Option<DurableStore>,
     /// Gossip fan-out; `None` when no peers are configured. Taken (and
     /// consumed) by shutdown, hence the `Mutex<Option<..>>`.
@@ -303,21 +303,15 @@ struct Inner {
 
 impl Inner {
     /// Journals and gossips one freshly published payload. Both paths
-    /// are best-effort and counter-backed; neither touches the request
-    /// accounting.
+    /// are best-effort and counted in [`ServiceStats`]; neither touches
+    /// the request accounting.
     fn publish_durable(&self, key: u64, payload: &str) {
-        let sub: Option<&dyn Subscriber> = Some(&self.recorder);
         if let Some(durable) = &self.durable {
-            if durable.persist(key, payload, &|| self.cache.entries()) {
-                counter!(sub, "serve.journal.append");
-            } else {
-                counter!(sub, "serve.journal.append_error");
-            }
+            durable.persist(key, payload, &|| self.cache.entries());
         }
         let repl = self.replicator.lock().expect("replicator poisoned");
         if let Some(repl) = repl.as_ref() {
             repl.offer(&key_hex(key), payload);
-            counter!(sub, "serve.replicate.out");
         }
     }
 
@@ -362,7 +356,7 @@ pub struct Service {
 impl Service {
     /// Starts the worker pool and returns the running service. With
     /// `data_dir` set, opens the directory (the only fallible step) and
-    /// recovers the cache from snapshot + journal before accepting work.
+    /// recovers the cache from the journal before accepting work.
     pub fn start(config: ServeConfig) -> std::io::Result<Self> {
         let storage: Option<Arc<dyn Storage>> = match &config.data_dir {
             Some(dir) => Some(Arc::new(DiskStorage::open(dir)?)),
@@ -416,12 +410,10 @@ impl Service {
             }
             inner.recovered.store(warmed, Ordering::Relaxed);
             let sub: Option<&dyn Subscriber> = Some(&inner.recorder);
-            counter!(sub, "serve.cache.recovered_entries", warmed);
             event!(
                 sub,
                 "serve.recovery",
                 "entries" => warmed,
-                "snapshot_entries" => report.snapshot_entries,
                 "journal_records" => report.journal_records,
                 "dropped_bytes" => report.dropped_bytes,
                 "errors" => report.errors.len(),
@@ -484,10 +476,7 @@ impl Service {
     /// Callers (the blocking wait above, the reactor's slot polling)
     /// must have abandoned the slot first so a late result is dropped.
     pub(crate) fn deadline_expired(&self, waited: &str) -> ServiceError {
-        let inner = &self.inner;
-        let sub: Option<&dyn Subscriber> = Some(&inner.recorder);
-        inner.deadline_expired.fetch_add(1, Ordering::Relaxed);
-        counter!(sub, "serve.deadline_expired");
+        self.inner.deadline_expired.fetch_add(1, Ordering::Relaxed);
         ServiceError::new(CODE_DEADLINE, format!("deadline expired after {waited}"))
     }
 
@@ -567,11 +556,9 @@ impl Service {
         } else {
             (inner.cache.probe(address)?, None)
         };
-        let sub: Option<&dyn Subscriber> = Some(&inner.recorder);
         inner.requests.fetch_add(1, Ordering::Relaxed);
-        counter!(sub, "serve.request");
-        counter!(sub, "serve.cache.hit");
         if wire.is_some() {
+            let sub: Option<&dyn Subscriber> = Some(&inner.recorder);
             counter!(sub, "serve.key.hit");
         }
         Some(Submission::Ready(Ok(ScheduleReply {
@@ -670,8 +657,6 @@ impl Service {
             let seen = inner.seen_ids.lock().expect("seen ids poisoned");
             if seen.contains(id) {
                 inner.deduped.fetch_add(1, Ordering::Relaxed);
-                let sub: Option<&dyn Subscriber> = Some(&inner.recorder);
-                counter!(sub, "serve.failover.dedup");
             }
         }
     }
@@ -696,7 +681,6 @@ impl Service {
         let inner = &self.inner;
         let sub: Option<&dyn Subscriber> = Some(&inner.recorder);
         inner.requests.fetch_add(1, Ordering::Relaxed);
-        counter!(sub, "serve.request");
         let mut inflight = inner.inflight.lock().expect("inflight poisoned");
         if let Some(waiters) = inflight.get_mut(&key) {
             let slot = Arc::new(ResponseSlot::new());
@@ -705,13 +689,11 @@ impl Service {
                 alias,
             });
             inner.coalesced.fetch_add(1, Ordering::Relaxed);
-            counter!(sub, "serve.coalesced");
             drop(inflight);
             note_admitted(inner, sub, request_id, key, &spec());
             return Submission::Queued(slot);
         }
         if let Some(payload) = inner.cache.get(key) {
-            counter!(sub, "serve.cache.hit");
             let publish = inner.cache_alias(key, alias, &payload);
             drop(inflight);
             if publish {
@@ -724,7 +706,6 @@ impl Service {
                 wire: None,
             }));
         }
-        counter!(sub, "serve.cache.miss");
         if inner.shutting_down.load(Ordering::SeqCst) {
             inner.rejected_shutdown.fetch_add(1, Ordering::Relaxed);
             return Submission::Ready(Err(ServiceError::new(
@@ -756,11 +737,9 @@ impl Service {
     /// Maps a queue-admission failure to its structured error.
     fn reject(&self, err: PushError) -> ServiceError {
         let inner = &self.inner;
-        let sub: Option<&dyn Subscriber> = Some(&inner.recorder);
         match err {
             PushError::Full => {
                 inner.rejected_full.fetch_add(1, Ordering::Relaxed);
-                counter!(sub, "serve.queue.rejected");
                 ServiceError::new(
                     CODE_QUEUE_FULL,
                     format!(
@@ -783,7 +762,6 @@ impl Service {
     /// full-mesh peer set converges without flooding loops.
     pub fn absorb(&self, entries: &[GossipEntry]) -> u64 {
         let inner = &self.inner;
-        let sub: Option<&dyn Subscriber> = Some(&inner.recorder);
         let mut applied = 0u64;
         for entry in entries {
             let Ok(key) = u64::from_str_radix(&entry.key, 16) else {
@@ -798,10 +776,7 @@ impl Service {
             }
             applied += 1;
         }
-        if applied > 0 {
-            inner.replicated_in.fetch_add(applied, Ordering::Relaxed);
-            counter!(sub, "serve.replicate.in", applied);
-        }
+        inner.replicated_in.fetch_add(applied, Ordering::Relaxed);
         applied
     }
 
@@ -839,7 +814,7 @@ impl Service {
             recovered_entries: inner.recovered.load(Ordering::Relaxed),
             journal_appends: durable.appends,
             journal_append_errors: durable.append_errors,
-            snapshots_written: durable.snapshots,
+            snapshots_written: durable.compactions,
             replicated_out,
             replication_dropped,
             replicated_in: inner.replicated_in.load(Ordering::Relaxed),
@@ -919,6 +894,7 @@ fn worker_loop(inner: &Inner) {
         {
             // Skip the solve when every waiter's deadline expired while
             // the job sat queued — no point burning a worker on ghosts.
+            // Each waiter was counted as it gave up, so the skip is not.
             let mut inflight = inner.inflight.lock().expect("inflight poisoned");
             let all_abandoned = match inflight.get(&key) {
                 Some(waiters) => waiters.iter().all(|w| w.slot.is_abandoned()),
@@ -926,7 +902,6 @@ fn worker_loop(inner: &Inner) {
             };
             if all_abandoned {
                 inflight.remove(&key);
-                inner.deadline_expired.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
         }
@@ -941,7 +916,6 @@ fn worker_loop(inner: &Inner) {
         match &result {
             Ok(_) => {
                 inner.solved.fetch_add(1, Ordering::Relaxed);
-                counter!(sub, "serve.solve");
             }
             Err(_) => {
                 inner.errors.fetch_add(1, Ordering::Relaxed);
@@ -956,8 +930,7 @@ fn worker_loop(inner: &Inner) {
             let waiters = inflight.remove(&key).unwrap_or_else(|| vec![job.leader]);
             let mut aliases = Vec::new();
             if let Ok(payload) = &result {
-                let evicted = inner.cache.insert(key, Arc::clone(payload));
-                counter!(sub, "serve.cache.evicted", evicted as u64);
+                inner.cache.insert(key, Arc::clone(payload));
                 for w in &waiters {
                     if inner.cache_alias(key, w.alias, payload) {
                         aliases.push(w.alias);
@@ -1064,6 +1037,23 @@ mod tests {
             },
             seed,
         })
+    }
+
+    /// A job that keeps one worker busy long enough for requests queued
+    /// behind it to coalesce or expire.
+    fn slow_job() -> JobSpec {
+        let mut slow = JobSpec::new(Workload::Generated {
+            scenario: Scenario {
+                kind: ScenarioKind::UniformRandom,
+                n_readers: 2000,
+                n_tags: 40_000,
+                region_side: 640.0,
+                radius_model: RadiusModel::paper_default(),
+            },
+            seed: 1,
+        });
+        slow.algorithm = "ghc".into();
+        slow
     }
 
     fn quick_config() -> ServeConfig {
@@ -1241,14 +1231,35 @@ mod tests {
     }
 
     #[test]
+    fn deadline_expiry_behind_a_busy_worker_counts_once() {
+        let service = Service::start(ServeConfig {
+            workers: 1,
+            ..quick_config()
+        })
+        .unwrap();
+        // Occupy the one worker, so the next job expires while queued.
+        let Submission::Queued(_busy) = service.submit_with_id(&slow_job(), None) else {
+            panic!("the slow job must queue");
+        };
+        let err = service
+            .schedule(&small_job(1), Some(Duration::from_millis(1)))
+            .unwrap_err();
+        assert_eq!(err.code, CODE_DEADLINE);
+        // Draining lets the worker reach, and skip, the abandoned job.
+        service.shutdown(true);
+        let stats = service.stats();
+        assert_eq!(stats.deadline_expired, 1, "{stats:?}");
+        assert_eq!(stats.solved, 1, "only the slow job is solved: {stats:?}");
+    }
+
+    #[test]
     fn metrics_snapshot_sees_serve_counters() {
         let service = Service::start(quick_config()).unwrap();
         let job = small_job(5);
         service.schedule(&job, None).unwrap();
         service.schedule(&job, None).unwrap();
         let metrics = service.metrics_json();
-        assert!(metrics.contains("serve.cache.hit"), "{metrics}");
-        assert!(metrics.contains("serve.cache.miss"), "{metrics}");
+        assert!(metrics.contains("serve.admission.alloc"), "{metrics}");
         assert!(metrics.contains("mcs.covering_schedule"), "{metrics}");
         service.shutdown(true);
     }
@@ -1410,18 +1421,7 @@ mod tests {
         let before = service.stats().journal_appends;
         // Occupy the one worker, so identical deltas queue behind it and
         // coalesce onto one solve.
-        let mut slow = JobSpec::new(Workload::Generated {
-            scenario: Scenario {
-                kind: ScenarioKind::UniformRandom,
-                n_readers: 2000,
-                n_tags: 40_000,
-                region_side: 640.0,
-                radius_model: RadiusModel::paper_default(),
-            },
-            seed: 1,
-        });
-        slow.algorithm = "ghc".into();
-        let Submission::Queued(busy) = service.submit_with_id(&slow, None) else {
+        let Submission::Queued(busy) = service.submit_with_id(&slow_job(), None) else {
             panic!("the slow job must queue");
         };
         let threads: Vec<_> = (0..6)

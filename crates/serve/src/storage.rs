@@ -1,14 +1,16 @@
 //! Injectable storage: the seam the chaos harness drives.
 //!
-//! The durability layer ([`crate::journal`], [`crate::snapshot`]) never
-//! touches the filesystem directly — it goes through the [`Storage`]
-//! trait. Production uses [`DiskStorage`] (a directory of flat files,
-//! atomic replace via temp-file + rename). Chaos tests swap in a
-//! [`FaultyStorage`] whose seeded [`StorageFaults`] plan can tear an
-//! append mid-record (the `kill -9` mid-write schedule), deny I/O with a
-//! seeded probability, or crash-stop the "process" so every later
-//! operation fails — all reproducible from the seed, in the spirit of
-//! `rfid_netsim::FaultPlan`.
+//! The durability layer ([`crate::journal`]) never touches the
+//! filesystem directly — it goes through the [`Storage`] trait, whose
+//! three calls are all the one journal file needs: read it at recovery,
+//! append a record, and replace it whole when compaction or repair
+//! rewrites it. Production uses [`DiskStorage`] (a directory of flat
+//! files, atomic replace via temp-file + fsync + rename). Chaos tests
+//! swap in a [`FaultyStorage`] whose seeded [`StorageFaults`] plan can
+//! tear an append mid-record (the `kill -9` mid-write schedule), deny
+//! I/O with a seeded probability, or crash-stop the "process" so every
+//! later operation fails — all reproducible from the seed, in the spirit
+//! of `rfid_netsim::FaultPlan`.
 
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -28,8 +30,6 @@ pub trait Storage: Send + Sync {
     /// a crash the file holds either the old bytes or the new, never a
     /// mix.
     fn replace(&self, name: &str, bytes: &[u8]) -> io::Result<()>;
-    /// Removes a file; missing files are not an error.
-    fn remove(&self, name: &str) -> io::Result<()>;
 }
 
 /// Production [`Storage`]: flat files under one root directory.
@@ -74,13 +74,6 @@ impl Storage for DiskStorage {
             f.sync_all()?;
         }
         std::fs::rename(&tmp, self.path(name))
-    }
-
-    fn remove(&self, name: &str) -> io::Result<()> {
-        match std::fs::remove_file(self.path(name)) {
-            Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
-            _ => Ok(()),
-        }
     }
 }
 
@@ -167,11 +160,6 @@ impl FaultyStorage {
         self.crashed.load(Ordering::SeqCst)
     }
 
-    /// Appends attempted so far (torn or denied ones included).
-    pub fn appends_seen(&self) -> u64 {
-        self.appends.load(Ordering::SeqCst)
-    }
-
     /// xorshift64* — deterministic, dependency-free.
     fn next_u64(&self) -> u64 {
         let mut s = self.rng.lock().expect("rng poisoned");
@@ -230,11 +218,6 @@ impl Storage for FaultyStorage {
         self.check_alive()?;
         self.inner.replace(name, bytes)
     }
-
-    fn remove(&self, name: &str) -> io::Result<()> {
-        self.check_alive()?;
-        self.inner.remove(name)
-    }
 }
 
 #[cfg(test)]
@@ -261,9 +244,14 @@ mod tests {
         assert_eq!(s.read("j").unwrap(), b"one\ntwo\n");
         s.replace("j", b"fresh\n").unwrap();
         assert_eq!(s.read("j").unwrap(), b"fresh\n");
-        s.remove("j").unwrap();
-        s.remove("j").unwrap(); // idempotent
-        assert_eq!(s.read("j").unwrap_err().kind(), io::ErrorKind::NotFound);
+        s.replace("j", b"").unwrap();
+        assert_eq!(s.read("j").unwrap(), b"");
+        // The rename consumed the temp file: the root holds `j` alone.
+        let names: Vec<_> = std::fs::read_dir(&root)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, vec!["j"]);
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -324,8 +312,8 @@ mod tests {
         assert!(s.append("j", b"x\n").is_err());
         assert!(!s.is_crashed(), "denied I/O is not a crash");
         // Replace still works: the plan only denies reads/appends.
-        s.replace("snap", b"ok").unwrap();
-        assert_eq!(disk.read("snap").unwrap(), b"ok");
+        s.replace("j", b"ok").unwrap();
+        assert_eq!(disk.read("j").unwrap(), b"ok");
         std::fs::remove_dir_all(&root).ok();
     }
 }

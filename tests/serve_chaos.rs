@@ -12,7 +12,8 @@
 //!
 //! Fault schedules exercised here:
 //! * seeds 1–8 — crash mid-append at varying torn positions, with and
-//!   without snapshot compaction in the loop (`kill -9` + restart);
+//!   without journal compaction in the loop (`kill -9` + restart, then
+//!   a second kill + restart after the cold jobs are journaled again);
 //! * seeds 21–24 — seeded append denial (flaky disk, no crash);
 //! * a partitioned gossip peer (connect refused, bounded retries);
 //! * a peer killed mid-sequence with client-side failover.
@@ -82,9 +83,11 @@ fn reference_payloads(jobs: &[JobSpec]) -> Vec<Arc<str>> {
 /// `kill -9` mid-write); the service must keep serving byte-identical
 /// payloads from RAM, and a restart over the same directory must
 /// recover exactly the longest valid prefix — warm for the journaled
-/// jobs, cold-but-identical for the rest. Eight distinct fault seeds
-/// vary the torn position and (on even seeds) put snapshot compaction
-/// inside the failure window.
+/// jobs, cold-but-identical for the rest. The restarted service journals
+/// the jobs it re-solves, so a second kill and restart must bring all of
+/// them back warm: recovery cut the torn tail, and nothing was appended
+/// behind it. Eight distinct fault seeds vary the torn position and (on
+/// even seeds) put journal compaction inside the failure window.
 #[test]
 fn kill_restart_replay_is_byte_identical_across_fault_seeds() {
     let jobs: Vec<JobSpec> = (0..5).map(|i| job(40 + i)).collect();
@@ -98,7 +101,7 @@ fn kill_restart_replay_is_byte_identical_across_fault_seeds() {
         let faulty = Arc::new(FaultyStorage::new(disk, plan));
         let mut cfg = config();
         // Even seeds compact every 2 appends, so the crash can land
-        // after a snapshot+truncate cycle; odd seeds never compact.
+        // after a journal rewrite; odd seeds never compact.
         cfg.snapshot_every = if fault_seed % 2 == 0 { 2 } else { 0 };
         let service =
             Service::start_with_storage(cfg.clone(), Some(faulty.clone() as Arc<dyn Storage>));
@@ -131,7 +134,7 @@ fn kill_restart_replay_is_byte_identical_across_fault_seeds() {
 
         // Restart over the same directory on healthy storage.
         let restarted = Service::start_with_storage(
-            cfg,
+            cfg.clone(),
             Some(Arc::new(DiskStorage::open(&dir).expect("reopen")) as Arc<dyn Storage>),
         );
         let recovered = restarted.stats().recovered_entries;
@@ -153,7 +156,27 @@ fn kill_restart_replay_is_byte_identical_across_fault_seeds() {
                 "seed {fault_seed}: job {i} warm iff journaled before the tear"
             );
         }
-        restarted.shutdown(true);
+        // Second kill -9, second restart: every job was journaled by now.
+        drop(restarted);
+        let again = Service::start_with_storage(
+            cfg,
+            Some(Arc::new(DiskStorage::open(&dir).expect("reopen")) as Arc<dyn Storage>),
+        );
+        assert_eq!(
+            again.stats().recovered_entries,
+            jobs.len() as u64,
+            "seed {fault_seed}: the second restart recovers every job"
+        );
+        for (i, spec) in jobs.iter().enumerate() {
+            let reply = again.schedule(spec, None).expect("second restart");
+            assert!(reply.cached, "seed {fault_seed}: job {i} warm");
+            assert_eq!(
+                reply.payload.as_bytes(),
+                reference[i].as_bytes(),
+                "seed {fault_seed}: payload diverged after the second restart"
+            );
+        }
+        again.shutdown(true);
         std::fs::remove_dir_all(&dir).ok();
     }
 }
