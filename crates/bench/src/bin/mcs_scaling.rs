@@ -19,7 +19,10 @@
 //!                                       # the seed baseline per (n, algorithm)
 //!   mcs_scaling --check PATH --max-ms LABEL:N:MS
 //!                                       # absolute wall-clock ceiling for one
-//!                                       # (algorithm, size) leg (repeatable)
+//!                                       # (algorithm, size) leg's schedule, or
+//!                                       # with LABEL `model` for coverage_ms +
+//!                                       # graph_ms of every leg at that size
+//!                                       # (repeatable)
 //!   mcs_scaling --check-metrics PATH [--schema PATH]
 //!                                       # validate a metrics JSON against the
 //!                                       # checked-in schema
@@ -29,6 +32,11 @@
 //! `rfid_obs::Recorder` and writes the counter/histogram snapshots plus
 //! per-slot records; the schedules themselves are bit-identical with or
 //! without the recorder (DESIGN.md §8).
+//!
+//! Trial `t` runs seed `42 + t`: the times are means over the trials'
+//! deployments, and `slots`, `tags_served` and `fallback_slots` are the
+//! last trial's (seed `42 + trials − 1`). `--against` therefore refuses to
+//! compare reports of different trial counts.
 //!
 //! Schema v2 (this revision): adds per-phase timings (`generate_ms`,
 //! `coverage_ms`, `graph_ms` — the deployment/coverage/interference-graph
@@ -59,9 +67,12 @@ struct Entry {
     n_tags: usize,
     algorithm: String,
     trials: usize,
-    /// Covering-schedule size (slots), identical across trials.
+    /// Covering-schedule size (slots) of the last trial, seed
+    /// `42 + trials − 1`; each trial draws its own deployment.
     slots: usize,
+    /// Tags served by the last trial's schedule.
     tags_served: usize,
+    /// Fallback slots of the last trial's schedule.
     fallback_slots: usize,
     /// Mean wall time of `covering_schedule_with` alone.
     schedule_wall_ms: f64,
@@ -169,7 +180,7 @@ fn measure(
                 .expect("strict covering schedule diverged");
         schedule_ms += start.elapsed().as_secs_f64() * 1e3;
         total_ms += total_start.elapsed().as_secs_f64() * 1e3;
-        // The schedule is deterministic per seed; keep the last trial's.
+        // Each trial has its own seed; the counts are the last trial's.
         let schedule = run.schedule;
         slots = schedule.size();
         tags_served = schedule.tags_served();
@@ -306,8 +317,13 @@ fn check_metrics(path: &PathBuf, schema_path: &PathBuf) -> Result<(), String> {
     Ok(())
 }
 
-/// One absolute wall-clock ceiling: `(algorithm label, n_readers, max ms)`.
+/// One absolute wall-clock ceiling: `(label, n_readers, max ms)`, where
+/// the label is an algorithm or [`MODEL_LABEL`].
 type MaxMs = (String, usize, f64);
+
+/// `--max-ms` label that bounds the model build (`coverage_ms +
+/// graph_ms`) of every leg at a size instead of one leg's schedule.
+const MODEL_LABEL: &str = "model";
 
 /// Parses a `--max-ms LABEL:N:MS` specification.
 fn parse_max_ms(spec: &str) -> MaxMs {
@@ -323,10 +339,76 @@ fn parse_max_ms(spec: &str) -> MaxMs {
     )
 }
 
+/// Requires every (n, algorithm) leg present in both reports to be at
+/// least `min_speedup`× faster than the baseline. Both legs must have run
+/// the same number of trials, since the counts come from the last trial's
+/// seed. Returns how many legs were compared.
+fn compare(report: &Report, baseline: &Report, min_speedup: f64) -> Result<usize, String> {
+    let mut compared = 0usize;
+    for e in &report.entries {
+        let Some(base) = baseline
+            .entries
+            .iter()
+            .find(|b| b.n_readers == e.n_readers && b.algorithm == e.algorithm)
+        else {
+            continue;
+        };
+        if e.trials != base.trials {
+            return Err(format!(
+                "n={} {}: the report ran {} trials and the baseline {}; \
+                 their counts come from different seeds",
+                e.n_readers, e.algorithm, e.trials, base.trials
+            ));
+        }
+        compared += 1;
+        let speedup = base.schedule_wall_ms / e.schedule_wall_ms;
+        if speedup < min_speedup {
+            return Err(format!(
+                "n={} {}: {:.1} ms is only {:.2}× the seed baseline's {:.1} ms \
+                 (floor {min_speedup}×)",
+                e.n_readers, e.algorithm, e.schedule_wall_ms, speedup, base.schedule_wall_ms
+            ));
+        }
+    }
+    Ok(compared)
+}
+
+/// Checks one `--max-ms` ceiling and describes what it bounded: the
+/// schedule time of one algorithm's leg, or with [`MODEL_LABEL`] the
+/// model build of every leg at that size.
+fn within_ceiling(report: &Report, (label, n, bound): &MaxMs) -> Result<Vec<String>, String> {
+    let legs: Vec<&Entry> = report
+        .entries
+        .iter()
+        .filter(|e| e.n_readers == *n && (label == MODEL_LABEL || e.algorithm == *label))
+        .collect();
+    if legs.is_empty() {
+        return Err(format!("--max-ms {label}:{n}: no such leg"));
+    }
+    legs.iter()
+        .map(|e| {
+            let (what, ms) = if label == MODEL_LABEL {
+                ("model build", e.coverage_ms + e.graph_ms)
+            } else {
+                ("schedule", e.schedule_wall_ms)
+            };
+            if ms > *bound {
+                return Err(format!(
+                    "n={n} {}: {what} {ms:.1} ms exceeds the {bound:.1} ms ceiling",
+                    e.algorithm
+                ));
+            }
+            Ok(format!(
+                "n={n} {}: {what} {ms:.1} ms within the {bound:.1} ms ceiling",
+                e.algorithm
+            ))
+        })
+        .collect()
+}
+
 /// Validates a BENCH_mcs.json: parses, checks the schema and that every
 /// entry carries positive wall times. With `against`, additionally
-/// requires every (n, algorithm) leg present in both reports to be at
-/// least `min_speedup`× faster than the baseline — the anti-rot gate CI
+/// compares it with the baseline ([`compare`]) — the anti-rot gate CI
 /// runs on the committed reports. `max_ms` entries pin absolute ceilings.
 /// Exits non-zero on failure so CI can gate on it.
 fn check(
@@ -373,29 +455,8 @@ fn check(
         Ok(report)
     };
     let report = load(path)?;
-    let find = |r: &Report, n: usize, algo: &str| -> Option<f64> {
-        r.entries
-            .iter()
-            .find(|e| e.n_readers == n && e.algorithm == algo)
-            .map(|e| e.schedule_wall_ms)
-    };
     if let Some(seed_path) = against {
-        let seed = load(seed_path)?;
-        let mut compared = 0usize;
-        for e in &report.entries {
-            let Some(base_ms) = find(&seed, e.n_readers, &e.algorithm) else {
-                continue;
-            };
-            compared += 1;
-            let speedup = base_ms / e.schedule_wall_ms;
-            if speedup < min_speedup {
-                return Err(format!(
-                    "n={} {}: {:.1} ms is only {:.2}× the seed baseline's {:.1} ms \
-                     (floor {min_speedup}×)",
-                    e.n_readers, e.algorithm, e.schedule_wall_ms, speedup, base_ms
-                ));
-            }
-        }
+        let compared = compare(&report, &load(seed_path)?, min_speedup)?;
         if compared == 0 {
             return Err(format!(
                 "no (n, algorithm) leg of {path:?} appears in the baseline {seed_path:?}"
@@ -403,15 +464,10 @@ fn check(
         }
         println!("{compared} legs at or above the {min_speedup}× floor vs {seed_path:?}");
     }
-    for (algo, n, bound) in max_ms {
-        let ms = find(&report, *n, algo)
-            .ok_or_else(|| format!("--max-ms {algo}:{n}: no such leg in {path:?}"))?;
-        if ms > *bound {
-            return Err(format!(
-                "n={n} {algo}: {ms:.1} ms exceeds the {bound:.1} ms ceiling"
-            ));
+    for ceiling in max_ms {
+        for line in within_ceiling(&report, ceiling).map_err(|e| format!("{e} in {path:?}"))? {
+            println!("{line}");
         }
-        println!("n={n} {algo}: {ms:.1} ms within the {bound:.1} ms ceiling");
     }
     Ok(())
 }
@@ -563,5 +619,69 @@ fn main() {
         check_metrics(&metrics_path, &schema_path)
             .expect("self-check of the just-written metrics against the schema");
         println!("wrote {metrics_path:?} (validated against {schema_path:?})");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn entry(n_readers: usize, algorithm: &str, trials: usize, schedule_wall_ms: f64) -> Entry {
+        Entry {
+            n_readers,
+            n_tags: n_readers * TAGS_PER_READER,
+            algorithm: algorithm.to_string(),
+            trials,
+            slots: 7,
+            tags_served: 100,
+            fallback_slots: 0,
+            schedule_wall_ms,
+            total_wall_ms: schedule_wall_ms + 3.0,
+            generate_ms: 1.0,
+            coverage_ms: 1.5,
+            graph_ms: 0.5,
+            peak_rss_kb: 0,
+            slots_per_sec: 1.0,
+        }
+    }
+
+    fn report(entries: Vec<Entry>) -> Report {
+        Report {
+            bench: "mcs_scaling".into(),
+            schema_version: 2,
+            tags_per_reader: TAGS_PER_READER,
+            lambda_interference: LAMBDA_INTERFERENCE,
+            lambda_interrogation: LAMBDA_INTERROGATION,
+            entries,
+        }
+    }
+
+    #[test]
+    fn against_refuses_reports_of_different_trial_counts() {
+        let baseline = report(vec![entry(1000, "ghc", 3, 10.0)]);
+        assert_eq!(
+            compare(&report(vec![entry(1000, "ghc", 3, 5.0)]), &baseline, 1.0),
+            Ok(1)
+        );
+        let err = compare(&report(vec![entry(1000, "ghc", 2, 5.0)]), &baseline, 1.0).unwrap_err();
+        assert!(
+            err.contains("2 trials") && err.contains("baseline 3"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn model_ceiling_bounds_coverage_plus_graph_of_every_leg() {
+        let mut slow = entry(1000, "ghc", 3, 1.0);
+        slow.coverage_ms = 9.0;
+        let r = report(vec![entry(1000, "alg2-central", 3, 50.0), slow]);
+        let model = |bound| within_ceiling(&r, &(MODEL_LABEL.to_string(), 1000, bound));
+        assert_eq!(model(10.0).map(|lines| lines.len()), Ok(2));
+        let err = model(5.0).unwrap_err();
+        assert!(err.contains("ghc") && err.contains("9.5 ms"), "{err}");
+        // An algorithm label still bounds that leg's schedule alone.
+        assert!(within_ceiling(&r, &("ghc".to_string(), 1000, 2.0)).is_ok());
+        assert!(within_ceiling(&r, &("alg2-central".to_string(), 1000, 2.0)).is_err());
+        assert!(within_ceiling(&r, &("ghc".to_string(), 5000, 2.0)).is_err());
     }
 }

@@ -126,6 +126,29 @@ proptest! {
         prop_assert_eq!(grid.query_within(center, radius), brute);
     }
 
+    /// Lattice points, lattice centres and integer radii put many points
+    /// exactly on the query circle and on cell edges; the cell sides
+    /// include 0 (finest grid the bucket bound allows), sub-lattice,
+    /// lattice-aligned and one-bucket grids.
+    #[test]
+    fn grid_agrees_with_bruteforce_on_lattices(
+        coords in proptest::collection::vec((-8i32..8, -8i32..8), 0..120),
+        centre in (-10i32..10, -10i32..10),
+        radius in 0u32..12,
+        cell in 0usize..6,
+        flat in 0u8..2,
+    ) {
+        let at = |(x, y): (i32, i32)| Point::new(f64::from(x), f64::from(if flat == 1 { 0 } else { y }));
+        let points: Vec<Point> = coords.iter().copied().map(at).collect();
+        let centre = at(centre);
+        let radius = f64::from(radius);
+        let grid = GridIndex::build(&points, [0.0, 0.25, 1.0, 3.0, 7.0, f64::INFINITY][cell]);
+        let brute: Vec<usize> = (0..points.len())
+            .filter(|&i| centre.dist_sq(points[i]) <= radius * radius)
+            .collect();
+        prop_assert_eq!(grid.query_within(centre, radius), brute);
+    }
+
     // ---------------- hierarchical shifted grid -----------------------
 
     #[test]

@@ -33,27 +33,15 @@ impl Coverage {
     pub fn build(d: &Deployment) -> Self {
         let n = d.n_readers();
         let m = d.n_tags();
+        let radii = d.interrogation_radii();
+        let index = GridIndex::build(d.tag_positions(), radii.iter().copied().fold(0.0, f64::max));
         let mut reader_offsets = vec![0u32; n + 1];
         let mut reader_data = Vec::new();
-        if n > 0 && m > 0 {
-            let r_max = d
-                .interrogation_radii()
-                .iter()
-                .copied()
-                .fold(0.0f64, f64::max)
-                .max(1e-6);
-            let index = GridIndex::build(d.tag_positions(), r_max);
-            for i in 0..n {
-                let r = d.interrogation_radii()[i];
-                index.for_each_within(d.reader_positions()[i], r, |t, _| {
-                    reader_data.push(t as u32);
-                });
-                reader_offsets[i + 1] = reader_data.len() as u32;
-            }
-            for i in 0..n {
-                reader_data[reader_offsets[i] as usize..reader_offsets[i + 1] as usize]
-                    .sort_unstable();
-            }
+        for i in 0..n {
+            let row = reader_data.len();
+            index.extend_within(d.reader_positions()[i], radii[i], &mut reader_data);
+            reader_data[row..].sort_unstable();
+            reader_offsets[i + 1] = reader_data.len() as u32;
         }
         Self::from_reader_csr(n, m, reader_offsets, reader_data)
     }
@@ -258,6 +246,29 @@ mod tests {
         let c = Coverage::build(&d);
         assert_eq!(c.readers_of(0), &[0]);
         assert!(c.readers_of(1).is_empty());
+    }
+
+    #[test]
+    fn far_apart_readers_need_no_giant_grid() {
+        // Cells of the largest radius (1) across a 1e5 spread would be
+        // 1e10 buckets; the grid holds at most one per tag.
+        let far = Point::new(1e5, 1e5);
+        let d = Deployment::new(
+            Rect::square(1e5),
+            vec![Point::ORIGIN, far],
+            vec![1.0, 1.0],
+            vec![1.0, 1.0],
+            vec![
+                Point::new(0.0, 1.0),
+                far,
+                Point::new(5e4, 5e4),
+                Point::new(1e5, 99_999.5),
+            ],
+        );
+        let c = Coverage::build(&d);
+        assert_eq!(c.tags_of(0), &[0]);
+        assert_eq!(c.tags_of(1), &[1, 3]);
+        assert!(c.readers_of(2).is_empty());
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //!
 //! Construction uses the uniform-grid index over reader positions so a
 //! deployment with bounded radii builds in expected `O(n + |E|)` rather than
-//! `O(n²)`; a quadratic fallback covers degenerate radius distributions.
+//! `O(n²)`; the grid keeps its bucket count within `n` whatever the radii
+//! and spread.
 
 use crate::deployment::Deployment;
 use rfid_geometry::GridIndex;
@@ -16,26 +17,28 @@ use rfid_graph::Csr;
 /// Builds the interference graph of a deployment.
 pub fn interference_graph(d: &Deployment) -> Csr {
     let n = d.n_readers();
-    if n == 0 {
-        return Csr::from_edges(0, &[]);
-    }
     let r_max = d.max_interference_radius();
     if r_max <= 0.0 {
-        // Point interference disks: an edge needs coincident readers at
-        // distance 0 … which the strict predicate still rejects. No edges.
+        // Every reader dead (all radii zero): no edges at all, not even
+        // between coincident readers, which `independent` (and therefore
+        // `interference_graph_naive`) would link at distance 0.
         return Csr::from_edges(n, &[]);
     }
-    // Querying each reader's ball of radius max(R_i, r_max)… the edge
-    // predicate needs dist ≤ max(R_i, R_j) which is ≤ r_max, so querying
-    // with r_max and filtering exactly is both correct and simple.
-    let index = GridIndex::build(d.reader_positions(), r_max.max(1e-6));
+    // The edge predicate needs dist ≤ max(R_i, R_j) ≤ r_max, so querying
+    // every reader's ball of radius r_max and filtering with `independent`
+    // is exact.
+    let index = GridIndex::build(d.reader_positions(), r_max);
     let mut edges = Vec::new();
+    let mut near = Vec::new();
     for i in 0..n {
-        index.for_each_within(d.reader_positions()[i], r_max, |j, _| {
+        near.clear();
+        index.extend_within(d.reader_positions()[i], r_max, &mut near);
+        for &j in &near {
+            let j = j as usize;
             if i < j && !d.independent(i, j) {
                 edges.push((i, j));
             }
-        });
+        }
     }
     Csr::from_edges(n, &edges)
 }

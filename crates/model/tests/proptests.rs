@@ -30,6 +30,53 @@ fn arb_deployment() -> impl Strategy<Value = Deployment> {
         })
 }
 
+/// Adversarial geometry for the grid-backed builders. Readers and tags
+/// sit on an integer lattice with integer radii, so many tags lie exactly
+/// on interrogation circles and on grid-cell edges (every distance² is an
+/// exact integer). The lattice is moved to an offset, possibly negative
+/// origin; `family` puts every point in one row (1) or kills every reader
+/// (2, zero radii); `scale` multiplies every radius by 2^-40 … 2^40, far
+/// below or above the lattice spread, and keeps distances exact.
+fn arb_lattice_deployment() -> impl Strategy<Value = Deployment> {
+    let reader = (0i32..16, 0i32..16, 0u32..9, 0u32..9);
+    let tag = (0i32..16, 0i32..16);
+    // Half the cases keep the lattice at the origin.
+    let origin = (0u8..2, -2_000_000i64..2_000_000).prop_map(|(k, o)| if k == 0 { 0 } else { o });
+    const SCALES: [i32; 7] = [-40, -12, 0, 0, 0, 12, 40];
+    (
+        proptest::collection::vec(reader, 1..24),
+        proptest::collection::vec(tag, 0..96),
+        (origin.clone(), origin),
+        0u8..3,
+        0..SCALES.len(),
+    )
+        .prop_map(|(readers, tags, (ox, oy), family, scale)| {
+            let at = |x: i32, y: i32| {
+                let y = if family == 1 { 0 } else { y };
+                Point::new((ox + i64::from(x)) as f64, (oy + i64::from(y)) as f64)
+            };
+            let scale = 2f64.powi(SCALES[scale]);
+            let mut pos = Vec::new();
+            let mut big = Vec::new();
+            let mut small = Vec::new();
+            for (x, y, a, b) in readers {
+                let p = at(x, y);
+                let (a, b) = if family == 2 { (0, 0) } else { (a, b) };
+                // `interference_graph` gives coincident readers no edge
+                // when every radius is zero, unlike the naive build: keep
+                // dead readers apart.
+                if family == 2 && pos.contains(&p) {
+                    continue;
+                }
+                pos.push(p);
+                big.push(f64::from(a.max(b)) * scale);
+                small.push(f64::from(a.min(b)) * scale);
+            }
+            let tag_pos = tags.into_iter().map(|(x, y)| at(x, y)).collect();
+            Deployment::new(Rect::square(16.0), pos, big, small, tag_pos)
+        })
+}
+
 fn arb_subset(n: usize) -> impl Strategy<Value = Vec<usize>> {
     proptest::collection::vec(0..n, 0..n.min(12)).prop_map(|mut v| {
         v.sort_unstable();
@@ -54,6 +101,26 @@ proptest! {
                 prop_assert_eq!(g.has_edge(i, j), !d.independent(i, j));
             }
         }
+    }
+
+    #[test]
+    fn grid_builders_equal_brute_force_on_lattices(d in arb_lattice_deployment()) {
+        let c = Coverage::build(&d);
+        for t in 0..d.n_tags() {
+            let readers: Vec<u32> = (0..d.n_readers())
+                .filter(|&i| d.covers(i, t))
+                .map(|i| i as u32)
+                .collect();
+            prop_assert_eq!(c.readers_of(t), readers.as_slice(), "tag {}", t);
+        }
+        for i in 0..d.n_readers() {
+            let tags: Vec<u32> = (0..d.n_tags())
+                .filter(|&t| d.covers(i, t))
+                .map(|t| t as u32)
+                .collect();
+            prop_assert_eq!(c.tags_of(i), tags.as_slice(), "reader {}", i);
+        }
+        prop_assert_eq!(interference_graph(&d), interference_graph_naive(&d));
     }
 
     #[test]

@@ -203,7 +203,8 @@ pub struct ServeConfig {
     /// Optional time-to-live for cache entries.
     pub cache_ttl: Option<Duration>,
     /// Directory for the journal, the one durable file (DESIGN.md §10).
-    /// `None` keeps the cache RAM-only.
+    /// `None` keeps the cache RAM-only. Unused while `cache_cap` is `0`:
+    /// with no cache to warm, the service neither recovers nor journals.
     pub data_dir: Option<PathBuf>,
     /// Compact the journal after this many appends: rewrite it to one
     /// record per live cache entry (`0` = never compact).
@@ -366,9 +367,12 @@ impl Service {
     }
 
     /// [`start`](Self::start) with an explicit [`Storage`] — the seam
-    /// the chaos harness injects a `FaultyStorage` through.
+    /// the chaos harness injects a `FaultyStorage` through. A disabled
+    /// cache (`cache_cap` 0) leaves the storage untouched.
     pub fn start_with_storage(config: ServeConfig, storage: Option<Arc<dyn Storage>>) -> Self {
-        let durable = storage.map(|s| DurableStore::new(s, config.snapshot_every));
+        let durable = storage
+            .filter(|_| config.cache_cap > 0)
+            .map(|s| DurableStore::new(s, config.snapshot_every));
         let replicator = if config.peers.is_empty() {
             None
         } else {
@@ -1403,6 +1407,129 @@ mod tests {
         // was seen again, so the retries above counted as dedups.
         assert_eq!(service.stats().deduped, 3);
         service.shutdown(true);
+    }
+
+    /// Checks a served payload against brute-force scans of `d`: the
+    /// uncoverable tags are exactly those no reader covers, every slot is
+    /// pairwise independent, each served tag is covered by exactly one
+    /// active reader, and every coverable tag is served once.
+    fn assert_brute_force_answer(payload: &str, d: &Deployment) {
+        let outcome: ScheduleOutcome = serde_json::from_str(payload).unwrap();
+        let covering = |t: usize| (0..d.n_readers()).filter(move |&i| d.covers(i, t));
+        let uncoverable: Vec<usize> = (0..d.n_tags())
+            .filter(|&t| covering(t).next().is_none())
+            .collect();
+        assert_eq!(outcome.schedule.uncoverable, uncoverable);
+        let mut served = vec![0u32; d.n_tags()];
+        for slot in &outcome.schedule.slots {
+            assert!(d.is_feasible(&slot.active), "{:?}", slot.active);
+            for &t in &slot.served {
+                let readers = slot.active.iter().filter(|&&i| d.covers(i, t)).count();
+                assert_eq!(readers, 1, "tag {t} in slot {:?}", slot.active);
+                served[t] += 1;
+            }
+        }
+        for (t, &times) in served.iter().enumerate() {
+            let want = u32::from(covering(t).next().is_some());
+            assert_eq!(times, want, "tag {t}");
+        }
+        assert!(outcome.complete);
+    }
+
+    #[test]
+    fn tiny_radii_solve_without_a_giant_grid() {
+        // Cells of the largest radius (1e-9) across a 100-unit region
+        // would be 1e22 buckets.
+        let scenario = Scenario {
+            kind: ScenarioKind::UniformRandom,
+            n_readers: 4,
+            n_tags: 4,
+            region_side: 100.0,
+            radius_model: RadiusModel::Fixed {
+                interference: 1e-9,
+                interrogation: 1e-9,
+            },
+        };
+        let service = Service::start(quick_config()).unwrap();
+        let spec = JobSpec::new(Workload::Generated { scenario, seed: 5 });
+        let reply = service.schedule(&spec, None).unwrap();
+        assert_brute_force_answer(&reply.payload, &scenario.generate(5));
+        service.shutdown(true);
+    }
+
+    #[test]
+    fn far_moved_reader_delta_solves_without_a_giant_grid() {
+        // Moving one reader of an 833-reader paper-density deployment a
+        // million units away stretches the reader grid's spread ~1000×.
+        let scenario = Scenario {
+            kind: ScenarioKind::UniformRandom,
+            n_readers: 833,
+            n_tags: 24 * 833,
+            region_side: 100.0 * (833.0f64 / 50.0).sqrt(),
+            radius_model: RadiusModel::PoissonPair {
+                lambda_interference: 14.0,
+                lambda_interrogation: 6.0,
+            },
+        };
+        let service = Service::start(quick_config()).unwrap();
+        let base = service
+            .schedule(
+                &JobSpec::new(Workload::Generated { scenario, seed: 9 }),
+                None,
+            )
+            .unwrap();
+        let ops = [ScenarioDelta::MoveReader {
+            reader: 0,
+            x: 1e6,
+            y: 1e6,
+        }];
+        let reply = delta(&service, &base.key, &ops).unwrap();
+        // The served delta solves the canonical (position-sorted) form.
+        let patched = JobSpec::new(Workload::Explicit {
+            deployment: apply_ops(&scenario.generate(9), &ops).unwrap().deployment,
+        });
+        let Workload::Explicit { deployment } = patched
+            .canonicalize(&SchedulerRegistry::global())
+            .unwrap()
+            .workload
+        else {
+            unreachable!("an explicit job stays explicit");
+        };
+        assert_brute_force_answer(&reply.payload, &deployment);
+        service.shutdown(true);
+    }
+
+    #[test]
+    fn cacheless_service_neither_journals_nor_recovers() {
+        let dir =
+            std::env::temp_dir().join(format!("rfid_service_cacheless_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let start = || {
+            let storage: Arc<dyn Storage> = Arc::new(DiskStorage::open(&dir).unwrap());
+            Service::start_with_storage(
+                ServeConfig {
+                    workers: 1,
+                    cache_cap: 0,
+                    ..quick_config()
+                },
+                Some(storage),
+            )
+        };
+        let service = start();
+        for seed in [3, 4] {
+            assert!(!service.schedule(&small_job(seed), None).unwrap().cached);
+        }
+        assert_eq!(service.stats().journal_appends, 0);
+        service.shutdown(true);
+
+        let restarted = start();
+        let stats = restarted.stats();
+        assert_eq!((stats.recovered_entries, stats.journal_appends), (0, 0));
+        assert!(!restarted.schedule(&small_job(3), None).unwrap().cached);
+        assert_eq!(restarted.stats().journal_appends, 0);
+        restarted.shutdown(true);
+        assert!(!dir.join(crate::journal::JOURNAL_FILE).exists());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

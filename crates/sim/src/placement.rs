@@ -36,32 +36,26 @@ pub fn greedy_placement(
         .collect();
 
     let mut covered = vec![false; tags.len()];
-    let index = if tags.is_empty() {
-        None
-    } else {
-        Some(GridIndex::build(tags, 8.0))
-    };
+    let index = GridIndex::build(tags, 8.0);
+    let mut near = Vec::new();
     let mut positions = Vec::with_capacity(n_readers);
     for &(_, interrogation) in &radii {
         // Best anchor among tag positions (falls back to region centre
         // when no tags or no gain).
         let mut best: Option<(usize, Point)> = None;
-        if let Some(index) = &index {
-            for &anchor in tags {
-                let mut gain = 0usize;
-                index.for_each_within(anchor, interrogation, |t, _| {
-                    if !covered[t] {
-                        gain += 1;
-                    }
-                });
-                if gain > 0 && best.as_ref().is_none_or(|&(g, _)| gain > g) {
-                    best = Some((gain, anchor));
-                }
+        for &anchor in tags {
+            near.clear();
+            index.extend_within(anchor, interrogation, &mut near);
+            let gain = near.iter().filter(|&&t| !covered[t as usize]).count();
+            if gain > 0 && best.as_ref().is_none_or(|&(g, _)| gain > g) {
+                best = Some((gain, anchor));
             }
         }
         let pos = best.map(|(_, p)| p).unwrap_or_else(|| region.center());
-        if let Some(index) = &index {
-            index.for_each_within(pos, interrogation, |t, _| covered[t] = true);
+        near.clear();
+        index.extend_within(pos, interrogation, &mut near);
+        for &t in &near {
+            covered[t as usize] = true;
         }
         positions.push(pos);
     }
