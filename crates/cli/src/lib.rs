@@ -748,7 +748,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 }
                 let mut out = format!(
                     "{}: {} slots, {} tags served, {} unreachable\n",
-                    registry.entry(algorithm).label,
+                    algorithm.label(),
                     schedule.size(),
                     schedule.tags_served(),
                     schedule.uncoverable.len()
@@ -771,13 +771,12 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 Ok(out)
             } else {
                 let unread = TagSet::all_unread(d.n_tags());
-                let mut builder = OneShotInput::builder(&d, &c, &g).unread(&unread);
-                builder = builder.maybe_subscriber(sub);
-                let input = builder.build();
+                let mut input = OneShotInput::new(&d, &c, &g, &unread);
+                input.subscriber = sub;
                 let set = scheduler.schedule(&input);
                 let mut out = format!(
                     "{}: {} readers active, w(X) = {}\nactive: {:?}\n",
-                    registry.entry(algorithm).label,
+                    algorithm.label(),
                     set.len(),
                     input.weight_of(&set),
                     set
@@ -1184,12 +1183,8 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             // indices refer to), materialise its deployment, patch it.
             let canonical = CanonicalJob::new(&job, &SchedulerRegistry::global())
                 .map_err(|e| CliError::Data(format!("canonicalize {scenario}: {e}")))?;
-            let base_deployment = match &canonical.spec.workload {
-                Workload::Generated { scenario, seed } => scenario.generate(*seed),
-                Workload::Explicit { deployment } => deployment.clone(),
-            };
             let ops_list = load_ops(&ops)?;
-            let patched = apply_ops(&base_deployment, &ops_list)
+            let patched = apply_ops(&canonical.spec.deployment(), &ops_list)
                 .map_err(|e| CliError::Data(format!("apply {ops}: {e}")))?;
             let body = serde_json::to_string_pretty(&patched.deployment)
                 .map_err(|e| CliError::Data(format!("encode patched deployment: {e}")))?;

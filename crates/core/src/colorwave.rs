@@ -100,12 +100,8 @@ impl Colorwave {
 }
 
 impl OneShotScheduler for Colorwave {
-    fn name(&self) -> &'static str {
-        "ca-colorwave"
-    }
-
     fn schedule(&mut self, input: &OneShotInput<'_>) -> Vec<ReaderId> {
-        let sub = input.subscriber();
+        let sub = input.subscriber;
         let _span = span!(sub, "colorwave.schedule");
         let n = input.deployment.n_readers();
         if n == 0 {

@@ -25,7 +25,9 @@
 //! Theorem 6: the Red set is a feasible scheduling set with
 //! `w(X) ≥ w(OPT)/ρ`.
 
-use crate::local_greedy::grow_local_mwfs;
+use crate::arena::{AliveSet, BallScratch};
+use crate::exact::MwfsScratch;
+use crate::local_greedy::grow_local_mwfs_in;
 use crate::scheduler::{OneShotInput, OneShotScheduler};
 use rfid_graph::Csr;
 use rfid_model::{Coverage, ReaderId, TagSet};
@@ -358,13 +360,40 @@ impl ReaderAgent {
             }
         }
         let coverage = Coverage::from_lists(alive_ids.len(), tag_readers);
+        // Every gathered tag was unread at slot start, so a reader's
+        // singleton weight in the view is the length of its tag list.
         let unread = TagSet::all_unread(tag_local.len());
-        let alive = crate::arena::AliveSet::all_alive(alive_ids.len());
+        let singleton: Vec<usize> = alive_ids
+            .iter()
+            .map(|&g| self.singleton_weight(g))
+            .collect();
+        let alive = AliveSet::all_alive(alive_ids.len());
         let me = local_of[&self.id];
-        let (gamma, r) = grow_local_mwfs(&graph, &coverage, &unread, me, &alive, self.rho, self.c);
-        // Removed ball N^{r̄+1}(me) over the alive local graph.
-        let removed_local = crate::local_greedy::ball_restricted(&graph, me, r + 1, &alive);
-        let members: Vec<u32> = if self.singleton_weight(self.id) == 0 {
+        // The same growth call as Algorithm 2, on the local view.
+        let mut mwfs = MwfsScratch::new(&coverage, &unread);
+        let mut balls = BallScratch::new(alive_ids.len());
+        let (mut removed_local, mut gamma, mut next) = (Vec::new(), Vec::new(), Vec::new());
+        let (r, ball_is_dead_ball) = grow_local_mwfs_in(
+            &mut mwfs,
+            &mut balls,
+            &mut removed_local,
+            &mut gamma,
+            &mut next,
+            &coverage,
+            &graph,
+            &unread,
+            &singleton,
+            me,
+            &alive,
+            self.rho,
+            self.c,
+        );
+        // Removed ball N^{r̄+1}(me) over the alive local graph, unless the
+        // growth loop's last probe already computed it.
+        if !ball_is_dead_ball {
+            balls.ball_into(&graph, me, r + 1, &alive, &mut removed_local);
+        }
+        let members: Vec<u32> = if singleton[me] == 0 {
             Vec::new()
         } else {
             gamma.iter().map(|&l| alive_ids[l]).collect()
@@ -710,10 +739,6 @@ impl DistributedScheduler {
 }
 
 impl OneShotScheduler for DistributedScheduler {
-    fn name(&self) -> &'static str {
-        "alg3-distributed"
-    }
-
     fn comm_stats(&self) -> Option<NetStats> {
         self.last_stats
     }
@@ -723,7 +748,7 @@ impl OneShotScheduler for DistributedScheduler {
     }
 
     fn schedule(&mut self, input: &OneShotInput<'_>) -> Vec<ReaderId> {
-        let sub = input.subscriber();
+        let sub = input.subscriber;
         let _span = span!(sub, "alg3.schedule");
         let rho = self.rho.unwrap_or(1.1);
         let c = self.c.unwrap_or(3);
@@ -839,18 +864,14 @@ impl OneShotScheduler for DistributedScheduler {
         // with lossy links two Red readers may be mutually unaware, and a
         // real reader would detect the jam at power-up: the lighter-weight
         // endpoint defers (turns itself off for this slot).
-        let mut weights = rfid_model::WeightEvaluator::new(input.coverage);
+        let singleton = input.singleton_weights();
         let mut repaired = 0usize;
         loop {
             let mut drop: Option<ReaderId> = None;
             'scan: for (i, &a) in x.iter().enumerate() {
                 for &b in &x[i + 1..] {
                     if input.graph.has_edge(a, b) {
-                        let (wa, wb) = (
-                            weights.singleton_weight(a, input.unread),
-                            weights.singleton_weight(b, input.unread),
-                        );
-                        drop = Some(if wa <= wb { a } else { b });
+                        drop = Some(if singleton[a] <= singleton[b] { a } else { b });
                         break 'scan;
                     }
                 }

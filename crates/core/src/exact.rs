@@ -13,7 +13,7 @@
 
 use crate::scheduler::{OneShotInput, OneShotScheduler};
 use rfid_graph::Csr;
-use rfid_model::{Coverage, EvalScratch, IncrementalCore, ReaderId, TagSet};
+use rfid_model::{Coverage, IncrementalCore, ReaderId, TagSet};
 
 /// Budget on branch-and-bound node expansions. When exceeded the search
 /// returns the best set found so far (anytime behaviour) — on the paper's
@@ -91,7 +91,6 @@ pub fn exact_mwfs_budgeted(
 /// reset is a packed-word memcpy plus a stamp bump, never an allocation.
 #[derive(Debug, Clone, Default)]
 pub struct MwfsScratch {
-    pub(crate) weights: EvalScratch,
     inc: IncrementalCore,
     cands: Vec<(ReaderId, usize)>,
     suffix: Vec<usize>,
@@ -122,7 +121,6 @@ impl MwfsScratch {
 
     /// Re-snapshots the unread set; allocation-free once warm.
     pub fn reset(&mut self, coverage: &Coverage, unread: &TagSet) {
-        self.weights.ensure(coverage.n_tags());
         self.inc.reset(coverage, unread);
     }
 
@@ -166,7 +164,6 @@ pub fn exact_mwfs_weighted(
 ) -> (usize, bool) {
     debug_assert!(graph.is_independent_set(base), "base must be feasible");
     let MwfsScratch {
-        weights: _,
         inc,
         cands,
         suffix,
@@ -576,17 +573,13 @@ pub struct ExactScheduler {
 }
 
 impl OneShotScheduler for ExactScheduler {
-    fn name(&self) -> &'static str {
-        "exact"
-    }
-
     fn schedule(&mut self, input: &OneShotInput<'_>) -> Vec<ReaderId> {
-        let all: Vec<ReaderId> = (0..input.deployment.n_readers()).collect();
+        // Zero-weight readers never enter the search anyway.
         exact_mwfs_budgeted(
             input.coverage,
             input.graph,
             input.unread,
-            &all,
+            input.positive_readers(),
             &[],
             self.node_budget.unwrap_or(DEFAULT_NODE_BUDGET),
         )

@@ -51,12 +51,8 @@ pub struct HillClimbing {
 }
 
 impl OneShotScheduler for HillClimbing {
-    fn name(&self) -> &'static str {
-        "ghc"
-    }
-
     fn schedule(&mut self, input: &OneShotInput<'_>) -> Vec<ReaderId> {
-        let sub = input.subscriber();
+        let sub = input.subscriber;
         let _span = span!(sub, "ghc.schedule");
         let n = input.deployment.n_readers();
         self.inc.reset(input.coverage, input.unread);
@@ -72,7 +68,7 @@ impl OneShotScheduler for HillClimbing {
         // singleton weight 0 covers no unread tag: its gain is 0 for the
         // whole call and no addition ever moves it.
         let floor = isize::from(!self.admit_zero_gain);
-        let singleton = input.singleton_or_compute();
+        let singleton = input.singleton_weights();
         let (heap_cap, dirty_cap) = (self.heap.capacity(), self.dirty.capacity());
         self.heap.clear();
         let gain = &mut self.gain;
@@ -80,12 +76,12 @@ impl OneShotScheduler for HillClimbing {
             gain[v] = singleton[v] as isize;
             (gain[v], Reverse(v as u32))
         };
-        match input.positive_readers() {
-            // `covering_schedule_with` already keeps the positive set.
-            Some(p) if !self.admit_zero_gain => self.heap.extend(p.iter().map(|&v| seed(v))),
-            _ => self
-                .heap
-                .extend((0..n).filter(|&v| singleton[v] as isize >= floor).map(seed)),
+        if self.admit_zero_gain {
+            // Zero-gain readers are candidates too: scan them all.
+            self.heap.extend((0..n).map(seed));
+        } else {
+            self.heap
+                .extend(input.positive_readers().iter().map(|&v| seed(v)));
         }
         while let Some((delta, Reverse(v))) = self.heap.pop() {
             let v = v as usize;

@@ -34,8 +34,9 @@
 //!
 //! Every scheduler and the MCS drivers emit spans/counters/histograms
 //! through the [`rfid_obs`] facade when a subscriber is attached (via
-//! [`OneShotInput::builder`] or [`McsOptions::subscriber`]). Subscribers
-//! observe only: schedules are bit-identical with metrics on or off.
+//! [`OneShotInput::subscriber`] or [`McsOptions::subscriber`]).
+//! Subscribers observe only: schedules are bit-identical with metrics on
+//! or off.
 
 pub mod arena;
 pub mod colorwave;
@@ -63,7 +64,5 @@ pub use mcs::{
 };
 pub use ptas::PtasScheduler;
 pub use registry::{SchedulerEntry, SchedulerRegistry};
-pub use scheduler::{
-    make_scheduler, AlgorithmKind, OneShotInput, OneShotInputBuilder, OneShotScheduler,
-};
+pub use scheduler::{make_scheduler, AlgorithmKind, OneShotInput, OneShotScheduler};
 pub use verify::{verify_covering_schedule, ScheduleViolation};

@@ -86,56 +86,23 @@ impl Default for LocalGreedy {
     }
 }
 
-/// `N(v)^r` within the alive-induced subgraph: hop distances only traverse
-/// alive nodes. Sorted ascending. `src` must be alive.
-pub(crate) fn ball_restricted(g: &Csr, src: usize, r: u32, alive: &AliveSet) -> Vec<usize> {
-    let mut scratch = BallScratch::new(g.n());
-    let mut out = Vec::new();
-    scratch.ball_into(g, src, r, alive, &mut out);
-    out
-}
-
 /// The shared growth step of Algorithms 2 and 3: starting from seed `v`,
 /// grows `Γ_0, Γ_1, …` until the ρ-growth condition fails or `max_hops` is
-/// reached. Returns `(Γ_{r̄}, r̄)`.
+/// reached, and returns `r̄`. `alive` restricts both the hop balls and the
+/// MWFS candidate pool.
 ///
-/// `alive` restricts both the hop balls and the MWFS candidate pool.
-pub(crate) fn grow_local_mwfs(
-    graph: &Csr,
-    coverage: &Coverage,
-    unread: &TagSet,
-    v: ReaderId,
-    alive: &AliveSet,
-    rho: f64,
-    max_hops: u32,
-) -> (Vec<ReaderId>, u32) {
-    let mut mwfs = MwfsScratch::new(coverage, unread);
-    let mut balls = BallScratch::new(graph.n());
-    let mut ball = Vec::new();
-    let mut gamma = Vec::new();
-    let mut next = Vec::new();
-    let (r, _) = grow_local_mwfs_in(
-        &mut mwfs, &mut balls, &mut ball, &mut gamma, &mut next, coverage, graph, unread, None, v,
-        alive, rho, max_hops,
-    );
-    (gamma, r)
-}
-
-/// [`grow_local_mwfs`] against caller-owned scratch state, so a schedule
-/// run pays the `O(n_tags)` weight-structure setup once instead of once
-/// per seed, and no per-seed heap allocation at all once warm.
-/// Bit-identical to the allocating form.
-///
-/// `Γ_{r̄}` is written into `gamma`; `next` is the double-buffer for the
-/// candidate of the following level. `singleton`, when given, must hold
-/// `w({u})` under `unread` for every reader (the driver's incremental
-/// array) — the seed's Γ_0 weight and the restricted search's bound keys
-/// then come from lookups instead of coverage rescans.
+/// All state is caller-owned, so a schedule run pays the `O(n_tags)`
+/// weight-structure setup once instead of once per seed, and no per-seed
+/// heap allocation at all once warm. `Γ_{r̄}` is written into `gamma`;
+/// `next` is the double-buffer for the candidate of the following level.
+/// `singleton` must hold `w({u})` under `unread` for every reader of
+/// `graph`: the seed's Γ_0 weight, the prefilter below and the restricted
+/// search's bound keys all come from lookups instead of coverage rescans.
 ///
 /// Returns `(r̄, ball_is_dead_ball)`: the flag is `true` exactly when the
 /// growth loop exited by failing the ρ-test, in which case `ball` already
-/// holds `N(v)^{r̄+1}` — the removal ball Algorithm 2 needs next — and the
-/// caller can skip recomputing it.
+/// holds `N(v)^{r̄+1}` — the removal ball both algorithms need next — and
+/// the caller can skip recomputing it.
 #[allow(clippy::too_many_arguments)] // scratch split keeps borrows disjoint
 pub(crate) fn grow_local_mwfs_in(
     mwfs: &mut MwfsScratch,
@@ -146,7 +113,7 @@ pub(crate) fn grow_local_mwfs_in(
     coverage: &Coverage,
     graph: &Csr,
     unread: &TagSet,
-    singleton: Option<&[usize]>,
+    singleton: &[usize],
     v: ReaderId,
     alive: &AliveSet,
     rho: f64,
@@ -155,25 +122,16 @@ pub(crate) fn grow_local_mwfs_in(
     // Γ_0 = MWFS within N(v)^0 = {v}.
     gamma.clear();
     gamma.push(v);
-    let mut cur_w = match singleton {
-        Some(s) => {
-            debug_assert_eq!(
-                s[v],
-                coverage
-                    .tags_of(v)
-                    .iter()
-                    .filter(|&&t| unread.is_unread(t as usize))
-                    .count(),
-                "stale singleton weight for seed {v}"
-            );
-            s[v]
-        }
-        None => coverage
+    debug_assert_eq!(
+        singleton[v],
+        coverage
             .tags_of(v)
             .iter()
             .filter(|&&t| unread.is_unread(t as usize))
             .count(),
-    };
+        "stale singleton weight for seed {v}"
+    );
+    let mut cur_w = singleton[v];
     let mut r = 0u32;
     let mut ball_is_dead_ball = false;
     while r < max_hops {
@@ -185,14 +143,10 @@ pub(crate) fn grow_local_mwfs_in(
         // removal ball already in hand and skip the search. Exactly the
         // comparison the search result would lose: `next_w ≤ bound` and
         // the conversion to f64 is monotone, so no boundary case can
-        // disagree with the full computation. Only taken when the driver
-        // supplies the singleton array; computing the weights from
-        // coverage here would cost what it saves.
-        if let Some(s) = singleton {
-            let bound: usize = ball.iter().map(|&u| s[u]).sum();
-            if (bound as f64) < rho * cur_w as f64 {
-                break;
-            }
+        // disagree with the full computation.
+        let bound: usize = ball.iter().map(|&u| singleton[u]).sum();
+        if (bound as f64) < rho * cur_w as f64 {
+            break;
         }
         let (next_w, _) = exact_mwfs_weighted(
             mwfs,
@@ -201,7 +155,7 @@ pub(crate) fn grow_local_mwfs_in(
             ball,
             &[],
             DEFAULT_NODE_BUDGET,
-            singleton,
+            Some(singleton),
             next,
         );
         if (next_w as f64) >= rho * cur_w as f64 && next_w > 0 {
@@ -217,17 +171,13 @@ pub(crate) fn grow_local_mwfs_in(
 }
 
 impl OneShotScheduler for LocalGreedy {
-    fn name(&self) -> &'static str {
-        "alg2-central"
-    }
-
     fn schedule(&mut self, input: &OneShotInput<'_>) -> Vec<ReaderId> {
         assert!(self.rho > 1.0, "ρ must exceed 1 (ρ = 1 + ε, ε > 0)");
-        let sub = input.subscriber();
+        let sub = input.subscriber;
         let _span = span!(sub, "alg2.schedule");
         let n = input.deployment.n_readers();
         let graph = input.graph;
-        let singleton = input.singleton_or_compute();
+        let singleton = input.singleton_weights();
         // Singleton weights are fixed for the whole call, so the seed
         // sequence is a static priority order: sort once and walk a cursor
         // over dead readers instead of rescanning all n per round.
@@ -246,12 +196,7 @@ impl OneShotScheduler for LocalGreedy {
             warm += 1;
             self.order.reserve(n);
         }
-        match input.positive_readers() {
-            // The covering-schedule driver maintains the positive set
-            // incrementally; trusting it replaces the per-slot O(n) scan.
-            Some(p) => self.order.extend_from_slice(p),
-            None => self.order.extend((0..n).filter(|&v| singleton[v] > 0)),
-        }
+        self.order.extend_from_slice(input.positive_readers());
         // Counting sort into (weight desc, id desc): `order` is ascending
         // by id, so placing ids in reverse scan order lands each weight
         // bucket in descending id. O(P + max_w) against the comparison
@@ -327,7 +272,7 @@ impl OneShotScheduler for LocalGreedy {
                 input.coverage,
                 graph,
                 input.unread,
-                Some(&singleton),
+                singleton,
                 v,
                 &self.alive,
                 self.rho,
@@ -487,8 +432,18 @@ mod tests {
         let mut weights = rfid_model::WeightEvaluator::new(&c);
         let singleton = weights.all_singleton_weights(&unread);
         let v = (0..d.n_readers()).max_by_key(|&v| singleton[v]).unwrap();
-        let (_, r_small) = grow_local_mwfs(&g, &c, &unread, v, &alive, 1.05, 5);
-        let (_, r_big) = grow_local_mwfs(&g, &c, &unread, v, &alive, 2.0, 5);
+        let mut mwfs = MwfsScratch::new(&c, &unread);
+        let mut balls = BallScratch::new(d.n_readers());
+        let (mut ball, mut gamma, mut next) = (Vec::new(), Vec::new(), Vec::new());
+        let mut grow = |rho| {
+            grow_local_mwfs_in(
+                &mut mwfs, &mut balls, &mut ball, &mut gamma, &mut next, &c, &g, &unread,
+                &singleton, v, &alive, rho, 5,
+            )
+            .0
+        };
+        let r_small = grow(1.05);
+        let r_big = grow(2.0);
         assert!(
             r_big <= r_small,
             "ρ=2 grew farther ({r_big}) than ρ=1.05 ({r_small})"
@@ -517,7 +472,11 @@ mod tests {
         let g = Csr::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         let mut alive = AliveSet::all_alive(4);
         alive.kill(1);
-        assert_eq!(ball_restricted(&g, 0, 2, &alive), vec![0]);
-        assert_eq!(ball_restricted(&g, 2, 1, &alive), vec![2, 3]);
+        let mut balls = BallScratch::new(4);
+        let mut ball = Vec::new();
+        balls.ball_into(&g, 0, 2, &alive, &mut ball);
+        assert_eq!(ball, vec![0]);
+        balls.ball_into(&g, 2, 1, &alive, &mut ball);
+        assert_eq!(ball, vec![2, 3]);
     }
 }

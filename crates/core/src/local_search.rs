@@ -41,7 +41,7 @@ pub fn improve_schedule(input: &OneShotInput<'_>, start: &[ReaderId]) -> Improve
         input.deployment.is_feasible(start),
         "local search needs a feasible start"
     );
-    let sub = input.subscriber();
+    let sub = input.subscriber;
     let _span = span!(sub, "local_search.improve");
     let n = input.deployment.n_readers();
     let graph = input.graph;

@@ -411,12 +411,15 @@ pub fn covering_schedule_with(
         }
         let slot_start = options.slot_metrics.then(Instant::now);
         let _slot_span = span!(sub, "mcs.slot");
-        let input = OneShotInput::builder(deployment, coverage, graph)
-            .unread(&unread)
-            .singleton_weights(singleton.as_slice())
-            .positive_readers(&positives)
-            .maybe_subscriber(sub)
-            .build();
+        let mut input = OneShotInput::with_weights(
+            deployment,
+            coverage,
+            graph,
+            &unread,
+            singleton.as_slice(),
+            &positives,
+        );
+        input.subscriber = sub;
         let mut active = scheduler.schedule(&input);
         // Crashed readers cannot transmit; their claimed tags simply stay
         // unread and get requeued. Strict runs trust the scheduler and
@@ -662,9 +665,6 @@ mod tests {
     /// schedule to completion.
     struct Lazy;
     impl OneShotScheduler for Lazy {
-        fn name(&self) -> &'static str {
-            "lazy"
-        }
         fn schedule(&mut self, _input: &OneShotInput<'_>) -> Vec<ReaderId> {
             Vec::new()
         }
@@ -730,9 +730,6 @@ mod tests {
     /// A scheduler that activates *everything* — maximally infeasible.
     struct Reckless;
     impl OneShotScheduler for Reckless {
-        fn name(&self) -> &'static str {
-            "reckless"
-        }
         fn schedule(&mut self, input: &OneShotInput<'_>) -> Vec<ReaderId> {
             (0..input.deployment.n_readers()).collect()
         }
@@ -757,9 +754,6 @@ mod tests {
     /// in every activation, so the resilient loop must strip it.
     struct HalfDead;
     impl OneShotScheduler for HalfDead {
-        fn name(&self) -> &'static str {
-            "half-dead"
-        }
         fn schedule(&mut self, input: &OneShotInput<'_>) -> Vec<ReaderId> {
             (0..input.deployment.n_readers()).collect()
         }

@@ -65,23 +65,14 @@ impl Default for PtasScheduler {
 }
 
 impl OneShotScheduler for PtasScheduler {
-    fn name(&self) -> &'static str {
-        "alg1-ptas"
-    }
-
     fn schedule(&mut self, input: &OneShotInput<'_>) -> Vec<ReaderId> {
         assert!(self.k >= 2, "k must be ≥ 2");
-        let sub = input.subscriber();
+        let sub = input.subscriber;
         let _span = span!(sub, "ptas.schedule");
-        let n = input.deployment.n_readers();
-        if n == 0 {
-            return Vec::new();
-        }
         let mut weights = WeightEvaluator::new(input.coverage);
-        let singleton = weights.all_singleton_weights(input.unread);
         // Readers covering no unread tag can never raise the weight; prune
         // them from the search space.
-        let candidates: Vec<ReaderId> = (0..n).filter(|&v| singleton[v] > 0).collect();
+        let candidates = input.positive_readers();
         if candidates.is_empty() {
             return Vec::new();
         }
@@ -93,7 +84,7 @@ impl OneShotScheduler for PtasScheduler {
 
         let solutions: Vec<Vec<ReaderId>> = Shifting::all(self.k)
             .into_iter()
-            .map(|shift| self.solve_shifting(input, &candidates, &levels, shift))
+            .map(|shift| self.solve_shifting(input, candidates, &levels, shift))
             .collect();
         counter!(sub, "ptas.shiftings", solutions.len() as u64);
         counter!(sub, "ptas.candidates", candidates.len() as u64);
@@ -108,7 +99,7 @@ impl OneShotScheduler for PtasScheduler {
             }
         }
         if self.augment {
-            best = augment_greedy(input, best, &singleton);
+            best = augment_greedy(input, best);
         }
         best.sort_unstable();
         best
@@ -141,11 +132,8 @@ impl PtasScheduler {
 /// Greedy augmentation: try every reader outside `x` in descending
 /// singleton-weight order; add it when it is independent from the current
 /// set and strictly increases the weight.
-fn augment_greedy(
-    input: &OneShotInput<'_>,
-    x: Vec<ReaderId>,
-    singleton: &[usize],
-) -> Vec<ReaderId> {
+fn augment_greedy(input: &OneShotInput<'_>, x: Vec<ReaderId>) -> Vec<ReaderId> {
+    let singleton = input.singleton_weights();
     let mut inc = IncrementalWeight::new(input.coverage, input.unread);
     let mut blocked = vec![false; input.deployment.n_readers()];
     for &v in &x {
@@ -154,8 +142,11 @@ fn augment_greedy(
             blocked[t as usize] = true;
         }
     }
-    let mut order: Vec<ReaderId> = (0..input.deployment.n_readers())
-        .filter(|&v| !inc.is_active(v) && singleton[v] > 0)
+    let mut order: Vec<ReaderId> = input
+        .positive_readers()
+        .iter()
+        .copied()
+        .filter(|&v| !inc.is_active(v))
         .collect();
     order.sort_by(|&a, &b| singleton[b].cmp(&singleton[a]).then(a.cmp(&b)));
     for v in order {

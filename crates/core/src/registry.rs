@@ -3,62 +3,46 @@
 //! Before this module, three places kept their own algorithm tables: the
 //! cli's `parse_algorithm` match, the sweep harness's factory calls and
 //! the cross-validation tests' lineup loops. The registry is now the one
-//! table mapping canonical labels (and their cli aliases) to
-//! [`AlgorithmKind`]s and factory calls; [`make_scheduler`] remains the
-//! low-level constructor behind it.
+//! table mapping cli aliases to [`AlgorithmKind`]s and factory calls; the
+//! canonical label of every row is [`AlgorithmKind::label`], and
+//! [`make_scheduler`] remains the low-level constructor behind it.
 
 use crate::scheduler::{make_scheduler, AlgorithmKind, OneShotScheduler};
 
-/// One registry row: the canonical label, its cli aliases and a short
-/// description.
+/// One registry row: an algorithm and its cli aliases. Its canonical
+/// label is [`AlgorithmKind::label`].
 #[derive(Debug, Clone, Copy)]
 pub struct SchedulerEntry {
     /// The algorithm this row names.
     pub kind: AlgorithmKind,
-    /// Canonical label — identical to [`AlgorithmKind::label`].
-    pub label: &'static str,
     /// Accepted aliases (cli spellings).
     pub aliases: &'static [&'static str],
-    /// One-line description for `--help`-style listings.
-    pub summary: &'static str,
 }
 
 static ENTRIES: [SchedulerEntry; 6] = [
     SchedulerEntry {
         kind: AlgorithmKind::Ptas,
-        label: "alg1-ptas",
         aliases: &["alg1", "ptas"],
-        summary: "Algorithm 1 — shifting-strips PTAS (needs locations)",
     },
     SchedulerEntry {
         kind: AlgorithmKind::LocalGreedy,
-        label: "alg2-central",
         aliases: &["alg2", "central"],
-        summary: "Algorithm 2 — centralized local greedy",
     },
     SchedulerEntry {
         kind: AlgorithmKind::Distributed,
-        label: "alg3-distributed",
         aliases: &["alg3", "distributed"],
-        summary: "Algorithm 3 — distributed via message passing",
     },
     SchedulerEntry {
         kind: AlgorithmKind::Colorwave,
-        label: "ca-colorwave",
         aliases: &["ca", "colorwave"],
-        summary: "Colorwave baseline (graph coloring)",
     },
     SchedulerEntry {
         kind: AlgorithmKind::HillClimbing,
-        label: "ghc",
         aliases: &["hill-climbing"],
-        summary: "Greedy hill-climbing baseline",
     },
     SchedulerEntry {
         kind: AlgorithmKind::Exact,
-        label: "exact",
         aliases: &["branch-and-bound"],
-        summary: "Exact branch-and-bound (small instances only)",
     },
 ];
 
@@ -79,20 +63,12 @@ impl SchedulerRegistry {
         self.entries
     }
 
-    /// The registry row for `kind`.
-    pub fn entry(&self, kind: AlgorithmKind) -> &'static SchedulerEntry {
-        self.entries
-            .iter()
-            .find(|e| e.kind == kind)
-            .expect("every AlgorithmKind has a registry row")
-    }
-
     /// Case-insensitive lookup by canonical label or alias.
     pub fn resolve(&self, name: &str) -> Option<AlgorithmKind> {
         let needle = name.to_ascii_lowercase();
         self.entries
             .iter()
-            .find(|e| e.label == needle || e.aliases.contains(&needle.as_str()))
+            .find(|e| e.kind.label() == needle || e.aliases.contains(&needle.as_str()))
             .map(|e| e.kind)
     }
 
@@ -103,19 +79,14 @@ impl SchedulerRegistry {
             let known: Vec<&str> = self
                 .entries
                 .iter()
-                .flat_map(|e| std::iter::once(e.label).chain(e.aliases.iter().copied()))
+                .flat_map(|e| std::iter::once(e.kind.label()).chain(e.aliases.iter().copied()))
                 .collect();
             format!("unknown algorithm {name:?}; known: {}", known.join(", "))
         })
     }
 
-    /// Instantiates the named scheduler (label or alias) with its default
-    /// parameters; `seed` feeds the randomised algorithms.
-    pub fn build(&self, name: &str, seed: u64) -> Result<Box<dyn OneShotScheduler>, String> {
-        self.parse(name).map(|kind| make_scheduler(kind, seed))
-    }
-
-    /// Instantiates a scheduler for an already-resolved kind.
+    /// Instantiates a scheduler for an already-resolved kind with its
+    /// default parameters; `seed` feeds the randomised algorithms.
     pub fn instantiate(&self, kind: AlgorithmKind, seed: u64) -> Box<dyn OneShotScheduler> {
         make_scheduler(kind, seed)
     }
@@ -126,20 +97,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn labels_match_algorithm_kind() {
-        for e in SchedulerRegistry::global().entries() {
-            assert_eq!(e.label, e.kind.label());
-        }
-    }
-
-    #[test]
     fn every_kind_has_exactly_one_row() {
         let reg = SchedulerRegistry::global();
         for kind in AlgorithmKind::paper_lineup()
             .into_iter()
             .chain(std::iter::once(AlgorithmKind::Exact))
         {
-            assert_eq!(reg.entry(kind).kind, kind);
+            assert_eq!(reg.entries().iter().filter(|e| e.kind == kind).count(), 1);
         }
         assert_eq!(reg.entries().len(), 6);
     }
@@ -158,18 +122,12 @@ mod tests {
     #[test]
     fn build_errors_are_structured_not_panics() {
         let reg = SchedulerRegistry::global();
-        let err = reg
-            .build("definitely-not-an-algorithm", 0)
-            .map(|_| ())
-            .unwrap_err();
+        let err = reg.parse("definitely-not-an-algorithm").unwrap_err();
         assert!(err.contains("unknown algorithm"), "{err}");
         // The error must teach: every accepted spelling is listed.
         for e in reg.entries() {
-            assert!(
-                err.contains(e.label),
-                "error omits label {}: {err}",
-                e.label
-            );
+            let label = e.kind.label();
+            assert!(err.contains(label), "error omits label {label}: {err}");
             for a in e.aliases {
                 assert!(err.contains(a), "error omits alias {a}: {err}");
             }
@@ -182,9 +140,9 @@ mod tests {
     fn every_spelling_builds_a_scheduler() {
         let reg = SchedulerRegistry::global();
         for e in reg.entries() {
-            let built = reg.build(e.label, 7).expect(e.label).name();
+            assert_eq!(reg.parse(e.kind.label()), Ok(e.kind));
             for a in e.aliases {
-                assert_eq!(reg.build(a, 7).expect(a).name(), built, "{a}");
+                assert_eq!(reg.parse(a), Ok(e.kind), "{a}");
             }
         }
     }
@@ -194,7 +152,7 @@ mod tests {
         let mut names: Vec<&str> = SchedulerRegistry::global()
             .entries()
             .iter()
-            .flat_map(|e| std::iter::once(e.label).chain(e.aliases.iter().copied()))
+            .flat_map(|e| std::iter::once(e.kind.label()).chain(e.aliases.iter().copied()))
             .collect();
         let before = names.len();
         names.sort_unstable();

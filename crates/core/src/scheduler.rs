@@ -4,6 +4,7 @@ use rfid_graph::Csr;
 use rfid_model::{Coverage, Deployment, ReaderId, TagSet, WeightEvaluator};
 use rfid_obs::Subscriber;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Everything a one-shot scheduler may consult for a single time slot.
 ///
@@ -13,8 +14,11 @@ use serde::{Deserialize, Serialize};
 /// `unread`; the distributed scheduler additionally restricts itself to
 /// hop-bounded views of them.
 ///
-/// Construct with [`OneShotInput::builder`]; [`OneShotInput::new`] remains
-/// as shorthand for the common deployment-plus-unread case.
+/// Every input carries the singleton weights `w({v})` under `unread` and
+/// the ascending list of readers whose weight is positive:
+/// [`new`](Self::new) computes both in one pass, and the covering driver,
+/// which keeps them current across slots, hands its own through
+/// [`with_weights`](Self::with_weights).
 pub struct OneShotInput<'a> {
     /// The physical world: readers, radii, tags.
     pub deployment: &'a Deployment,
@@ -24,165 +28,95 @@ pub struct OneShotInput<'a> {
     pub graph: &'a Csr,
     /// Tags already served are excluded from all weights.
     pub unread: &'a TagSet,
-    /// Optional precomputed per-reader singleton weights `w({v})` under
-    /// `unread`, provided by drivers that maintain them incrementally
-    /// across slots (the MCS loop). Private so the only way in is the
-    /// builder, which asserts consistency.
-    singleton: Option<&'a [usize]>,
-    /// Optional ascending list of exactly the readers with positive
-    /// singleton weight under `unread`, maintained incrementally by
-    /// drivers alongside `singleton`. Schedulers that only seed positive
-    /// readers (Algorithm 2, GHC's default mode) then skip their O(n)
-    /// per-slot scan. Private for the same reason as `singleton`.
-    positive: Option<&'a [ReaderId]>,
     /// Observation sink for the scheduler's spans/counters; `None` (the
     /// default) costs one branch per instrumentation site. Subscribers
     /// observe only — by the DESIGN.md §8 contract they never influence
     /// the returned set.
-    subscriber: Option<&'a dyn Subscriber>,
-}
-
-/// Staged construction of a [`OneShotInput`] — see
-/// [`OneShotInput::builder`].
-pub struct OneShotInputBuilder<'a> {
-    deployment: &'a Deployment,
-    coverage: &'a Coverage,
-    graph: &'a Csr,
-    unread: Option<&'a TagSet>,
-    singleton: Option<&'a [usize]>,
-    positive: Option<&'a [ReaderId]>,
-    subscriber: Option<&'a dyn Subscriber>,
-}
-
-impl<'a> OneShotInputBuilder<'a> {
-    /// Sets the unread-tag set (required).
-    pub fn unread(mut self, unread: &'a TagSet) -> Self {
-        debug_assert_eq!(unread.len(), self.deployment.n_tags());
-        self.unread = Some(unread);
-        self
-    }
-
-    /// Attaches precomputed singleton weights (`weights[v] == w({v})`
-    /// under the unread set — the caller's responsibility, debug-asserted
-    /// by sampling a seeded random subset of readers at
-    /// [`build`](Self::build)). Schedulers then skip their own
-    /// `O(Σ|tags(v)|)` rescan.
-    pub fn singleton_weights(mut self, weights: &'a [usize]) -> Self {
-        debug_assert_eq!(weights.len(), self.deployment.n_readers());
-        self.singleton = Some(weights);
-        self
-    }
-
-    /// Attaches the ascending list of exactly the readers whose singleton
-    /// weight is positive under the unread set (the caller's
-    /// responsibility, fully cross-checked against the attached singleton
-    /// weights in debug builds at [`build`](Self::build)). Schedulers
-    /// whose seed order admits only positive readers then skip their own
-    /// O(n) rescan. Requires [`singleton_weights`](Self::singleton_weights)
-    /// to also be attached.
-    pub fn positive_readers(mut self, positive: &'a [ReaderId]) -> Self {
-        self.positive = Some(positive);
-        self
-    }
-
-    /// Attaches an observation sink for the scheduler's instrumentation.
-    pub fn subscriber(mut self, subscriber: &'a dyn Subscriber) -> Self {
-        self.subscriber = Some(subscriber);
-        self
-    }
-
-    /// Like [`subscriber`](Self::subscriber) but accepts the optional
-    /// handle drivers already hold, so they can forward it verbatim.
-    pub fn maybe_subscriber(mut self, subscriber: Option<&'a dyn Subscriber>) -> Self {
-        self.subscriber = subscriber;
-        self
-    }
-
-    /// Finalises the input.
-    ///
-    /// # Panics
-    /// When [`unread`](Self::unread) was never provided.
-    pub fn build(self) -> OneShotInput<'a> {
-        let unread = self
-            .unread
-            .expect("OneShotInput::builder requires .unread(...)");
-        assert!(
-            self.positive.is_none() || self.singleton.is_some(),
-            "positive_readers requires singleton_weights"
-        );
-        let input = OneShotInput {
-            deployment: self.deployment,
-            coverage: self.coverage,
-            graph: self.graph,
-            unread,
-            singleton: self.singleton,
-            positive: self.positive,
-            subscriber: self.subscriber,
-        };
-        #[cfg(debug_assertions)]
-        if let Some(weights) = input.singleton {
-            input.debug_check_singleton(weights);
-            if let Some(positive) = input.positive {
-                debug_assert!(
-                    positive
-                        .iter()
-                        .copied()
-                        .eq((0..weights.len()).filter(|&v| weights[v] > 0)),
-                    "positive_readers must list exactly the positive-weight readers, ascending"
-                );
-            }
-        }
-        input
-    }
+    pub subscriber: Option<&'a dyn Subscriber>,
+    /// `singleton[v] == w({v})` under `unread`. Private so every input
+    /// goes through a constructor that computes or checks it.
+    singleton: Cow<'a, [usize]>,
+    /// Exactly the readers with positive singleton weight, ascending.
+    positive: Cow<'a, [ReaderId]>,
 }
 
 impl<'a> OneShotInput<'a> {
-    /// Starts building an input from the deployment and its two derived
-    /// structures. The caller is responsible for `coverage`/`graph`
-    /// actually belonging to `deployment` (debug-asserted).
-    pub fn builder(
-        deployment: &'a Deployment,
-        coverage: &'a Coverage,
-        graph: &'a Csr,
-    ) -> OneShotInputBuilder<'a> {
-        debug_assert_eq!(coverage.n_readers(), deployment.n_readers());
-        debug_assert_eq!(graph.n(), deployment.n_readers());
-        OneShotInputBuilder {
-            deployment,
-            coverage,
-            graph,
-            unread: None,
-            singleton: None,
-            positive: None,
-            subscriber: None,
-        }
-    }
-
-    /// Shorthand for `builder(deployment, coverage, graph).unread(unread)
-    /// .build()` — the common case with no attached weights or subscriber.
+    /// An input for `unread`, with its singleton weights and positive
+    /// readers computed by one scan over the coverage rows. The caller is
+    /// responsible for `coverage`/`graph` actually belonging to
+    /// `deployment` (debug-asserted).
     pub fn new(
         deployment: &'a Deployment,
         coverage: &'a Coverage,
         graph: &'a Csr,
         unread: &'a TagSet,
     ) -> Self {
-        Self::builder(deployment, coverage, graph)
-            .unread(unread)
-            .build()
+        let n = coverage.n_readers();
+        let mut singleton = Vec::with_capacity(n);
+        let mut positive = Vec::new();
+        for v in 0..n {
+            let w = coverage
+                .tags_of(v)
+                .iter()
+                .filter(|&&t| unread.is_unread(t as usize))
+                .count();
+            if w > 0 {
+                positive.push(v);
+            }
+            singleton.push(w);
+        }
+        OneShotInput {
+            deployment,
+            coverage,
+            graph,
+            unread,
+            subscriber: None,
+            singleton: Cow::Owned(singleton),
+            positive: Cow::Owned(positive),
+        }
+        .checked()
     }
 
-    /// Samples a seeded random subset of readers and asserts their cached
-    /// singleton weight matches a fresh evaluation — catching stale
-    /// incremental state for *any* reader in debug builds, not just
-    /// reader 0. The seed mixes the reader count with the cached weights
-    /// so different call sites probe different subsets, while staying
-    /// deterministic for a given input.
-    #[cfg(debug_assertions)]
-    fn debug_check_singleton(&self, weights: &[usize]) {
-        let n = weights.len();
-        if n == 0 {
-            return;
+    /// An input over weights the caller maintains incrementally (the
+    /// covering driver): `singleton[v] == w({v})` under `unread` for every
+    /// reader, and `positive` lists exactly the readers with positive
+    /// weight, ascending.
+    pub fn with_weights(
+        deployment: &'a Deployment,
+        coverage: &'a Coverage,
+        graph: &'a Csr,
+        unread: &'a TagSet,
+        singleton: &'a [usize],
+        positive: &'a [ReaderId],
+    ) -> Self {
+        OneShotInput {
+            deployment,
+            coverage,
+            graph,
+            unread,
+            subscriber: None,
+            singleton: Cow::Borrowed(singleton),
+            positive: Cow::Borrowed(positive),
         }
+        .checked()
+    }
+
+    /// Debug builds check that the parts belong to one deployment, that a
+    /// seeded random sample of readers has current singleton weights —
+    /// catching stale incremental state for *any* reader, not just
+    /// reader 0 — and that the positive list is exact. The seed mixes the
+    /// reader count with the weights so different call sites probe
+    /// different subsets, while staying deterministic for a given input.
+    fn checked(self) -> Self {
+        if !cfg!(debug_assertions) {
+            return self;
+        }
+        let n = self.deployment.n_readers();
+        assert_eq!(self.coverage.n_readers(), n);
+        assert_eq!(self.graph.n(), n);
+        assert_eq!(self.unread.len(), self.deployment.n_tags());
+        let weights = &self.singleton[..];
+        assert_eq!(weights.len(), n);
         let mut eval = WeightEvaluator::new(self.coverage);
         let mut state = (n as u64)
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
@@ -196,45 +130,27 @@ impl<'a> OneShotInput<'a> {
             z ^= z >> 31;
             let v = (z % n as u64) as usize;
             let expect = eval.singleton_weight(v, self.unread);
-            debug_assert_eq!(weights[v], expect, "stale singleton weight for reader {v}");
+            assert_eq!(weights[v], expect, "stale singleton weight for reader {v}");
         }
+        assert!(
+            self.positive
+                .iter()
+                .copied()
+                .eq((0..n).filter(|&v| weights[v] > 0)),
+            "positive readers must list exactly the positive-weight readers, ascending"
+        );
+        self
     }
 
-    /// The attached singleton weights, if any.
-    pub fn singleton_weights(&self) -> Option<&'a [usize]> {
-        self.singleton
+    /// Per-reader singleton weights `w({v})` under `unread`.
+    pub fn singleton_weights(&self) -> &[usize] {
+        &self.singleton
     }
 
-    /// The attached positive-reader list, if any: exactly the readers
-    /// with positive singleton weight under `unread`, ascending.
-    pub fn positive_readers(&self) -> Option<&'a [ReaderId]> {
-        self.positive
-    }
-
-    /// The attached observation sink, if any. Schedulers forward this to
-    /// their instrumentation macros.
-    pub fn subscriber(&self) -> Option<&'a dyn Subscriber> {
-        self.subscriber
-    }
-
-    /// Per-reader singleton weights: the attached incremental snapshot
-    /// when present, otherwise computed fresh by one scan over the
-    /// readers in id order.
-    pub fn singleton_or_compute(&self) -> std::borrow::Cow<'a, [usize]> {
-        match self.singleton {
-            Some(s) => std::borrow::Cow::Borrowed(s),
-            None => std::borrow::Cow::Owned(
-                (0..self.coverage.n_readers())
-                    .map(|v| {
-                        self.coverage
-                            .tags_of(v)
-                            .iter()
-                            .filter(|&&t| self.unread.is_unread(t as usize))
-                            .count()
-                    })
-                    .collect(),
-            ),
-        }
+    /// The readers with positive singleton weight under `unread`,
+    /// ascending.
+    pub fn positive_readers(&self) -> &[ReaderId] {
+        &self.positive
     }
 
     /// Definition-3 weight of a feasible set under this input.
@@ -250,9 +166,6 @@ impl<'a> OneShotInput<'a> {
 /// [`Deployment::is_feasible`](rfid_model::Deployment::is_feasible). The
 /// set may be empty (e.g. when no unread tag is coverable).
 pub trait OneShotScheduler {
-    /// Stable name used in experiment tables.
-    fn name(&self) -> &'static str;
-
     /// Computes an (approximate) maximum weighted feasible scheduling set.
     fn schedule(&mut self, input: &OneShotInput<'_>) -> Vec<ReaderId>;
 
@@ -360,12 +273,26 @@ mod tests {
 
     #[test]
     fn factory_builds_every_kind() {
+        let d = Deployment::new(
+            rfid_geometry::Rect::square(10.0),
+            vec![rfid_geometry::Point::new(5.0, 5.0)],
+            vec![2.0],
+            vec![1.0],
+            vec![rfid_geometry::Point::new(5.0, 5.5)],
+        );
+        let c = Coverage::build(&d);
+        let g = rfid_model::interference::interference_graph(&d);
+        let unread = TagSet::all_unread(1);
+        let input = OneShotInput::new(&d, &c, &g, &unread);
         for kind in AlgorithmKind::paper_lineup()
             .into_iter()
             .chain(std::iter::once(AlgorithmKind::Exact))
         {
-            let s = make_scheduler(kind, 0);
-            assert!(!s.name().is_empty());
+            assert_eq!(
+                make_scheduler(kind, 0).schedule(&input),
+                vec![0],
+                "{kind:?}"
+            );
         }
     }
 }

@@ -87,7 +87,8 @@ fn ghc(admit_zero_gain: bool) -> HillClimbing {
 
 /// Runs a warm [`HillClimbing`] through `covering_schedule_with` and, on
 /// every slot, compares its pick with the eager reference and with a
-/// fresh engine given no precomputed singleton weights.
+/// fresh engine on an input whose weights are computed afresh instead of
+/// handed over by the driver.
 struct CheckedGhc {
     engine: HillClimbing,
     slots: usize,
@@ -95,10 +96,6 @@ struct CheckedGhc {
 }
 
 impl OneShotScheduler for CheckedGhc {
-    fn name(&self) -> &'static str {
-        "ghc"
-    }
-
     fn schedule(&mut self, input: &OneShotInput<'_>) -> Vec<ReaderId> {
         let got = self.engine.schedule(input);
         let zero_gain = self.engine.admit_zero_gain;
@@ -175,6 +172,26 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `OneShotInput::new` computes exactly the singleton weights of the
+    /// reference evaluator, and lists exactly its positive readers.
+    #[test]
+    fn input_weights_match_the_evaluator(
+        d in arb_wild_deployment(),
+        read_tags in proptest::collection::vec(0usize..80, 0..60),
+    ) {
+        let c = Coverage::build(&d);
+        let g = interference_graph(&d);
+        let mut unread = TagSet::all_unread(d.n_tags());
+        for t in read_tags {
+            unread.mark_read(t % d.n_tags());
+        }
+        let input = OneShotInput::new(&d, &c, &g, &unread);
+        let expect = WeightEvaluator::new(&c).all_singleton_weights(&unread);
+        prop_assert_eq!(input.singleton_weights(), expect.as_slice());
+        let positive: Vec<ReaderId> = (0..expect.len()).filter(|&v| expect[v] > 0).collect();
+        prop_assert_eq!(input.positive_readers(), positive.as_slice());
+    }
 
     /// Feasibility of every scheduler under extreme radius heterogeneity.
     #[test]

@@ -18,15 +18,10 @@ use rfid_graph::Csr;
 pub fn interference_graph(d: &Deployment) -> Csr {
     let n = d.n_readers();
     let r_max = d.max_interference_radius();
-    if r_max <= 0.0 {
-        // Every reader dead (all radii zero): no edges at all, not even
-        // between coincident readers, which `independent` (and therefore
-        // `interference_graph_naive`) would link at distance 0.
-        return Csr::from_edges(n, &[]);
-    }
     // The edge predicate needs dist ≤ max(R_i, R_j) ≤ r_max, so querying
     // every reader's ball of radius r_max and filtering with `independent`
-    // is exact.
+    // is exact — also when every radius is zero, where only coincident
+    // readers are linked.
     let index = GridIndex::build(d.reader_positions(), r_max);
     let mut edges = Vec::new();
     let mut near = Vec::new();
@@ -103,15 +98,24 @@ mod tests {
     }
 
     #[test]
-    fn zero_radii_give_edgeless_graph() {
+    fn zero_radii_link_only_coincident_readers() {
+        // `independent` needs distance > max(R_i, R_j) = 0: two dead
+        // readers at one spot conflict, a third one elsewhere does not.
         let d = Deployment::new(
             Rect::square(10.0),
-            vec![Point::new(1.0, 1.0), Point::new(1.0, 1.0)],
-            vec![0.0, 0.0],
-            vec![0.0, 0.0],
+            vec![
+                Point::new(1.0, 1.0),
+                Point::new(1.0, 1.0),
+                Point::new(4.0, 1.0),
+            ],
+            vec![0.0, 0.0, 0.0],
+            vec![0.0, 0.0, 0.0],
             vec![],
         );
-        assert_eq!(interference_graph(&d).m(), 0);
+        let g = interference_graph(&d);
+        assert!(g.has_edge(0, 1));
+        assert_eq!(g.m(), 1);
+        assert_eq!(g, interference_graph_naive(&d));
     }
 
     #[test]

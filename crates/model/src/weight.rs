@@ -48,15 +48,6 @@ impl EvalScratch {
         }
     }
 
-    /// Resizes for a different tag count (no-op when unchanged).
-    pub fn ensure(&mut self, n_tags: usize) {
-        if self.counts.len() != n_tags {
-            self.counts = vec![0; n_tags];
-            self.stamp_of = vec![0; n_tags];
-            self.stamp = 0;
-        }
-    }
-
     #[inline]
     fn bump(&mut self, t: usize) -> u32 {
         if self.stamp_of[t] != self.stamp {

@@ -62,12 +62,6 @@ fn arb_lattice_deployment() -> impl Strategy<Value = Deployment> {
             for (x, y, a, b) in readers {
                 let p = at(x, y);
                 let (a, b) = if family == 2 { (0, 0) } else { (a, b) };
-                // `interference_graph` gives coincident readers no edge
-                // when every radius is zero, unlike the naive build: keep
-                // dead readers apart.
-                if family == 2 && pos.contains(&p) {
-                    continue;
-                }
                 pos.push(p);
                 big.push(f64::from(a.max(b)) * scale);
                 small.push(f64::from(a.min(b)) * scale);

@@ -1,25 +1,24 @@
 //! `rfid_obs` — the workspace's tracing/metrics facade.
 //!
 //! Every layer of the scheduler stack (one-shot schedulers, the MCS
-//! drivers, the network simulator) emits spans, events, counters and
-//! histograms through a single [`Subscriber`] trait object threaded in by
-//! the caller. The design mirrors the `tracing` facade pattern but is
+//! drivers, the network simulator, the serve daemon) emits spans,
+//! counters and histograms through a single [`Subscriber`] trait object
+//! threaded in by the caller. The design mirrors the `tracing` facade pattern but is
 //! deliberately dependency-free so it can sit underneath every crate in
 //! the workspace (including `rfid-netsim`, which has no `serde`):
 //!
-//! * **Instrumentation sites** call the [`span!`], [`event!`],
-//!   [`counter!`] and [`histogram!`] macros with an
-//!   `Option<&dyn Subscriber>`. With `None` (or a subscriber whose
-//!   [`Subscriber::enabled`] is `false`) each macro reduces to a single
-//!   predictable branch — the no-op path costs nothing measurable and, by
-//!   the determinism contract (DESIGN.md §8), **must not** influence any
-//!   scheduling decision.
+//! * **Instrumentation sites** call the [`span!`], [`counter!`] and
+//!   [`histogram!`] macros with an `Option<&dyn Subscriber>`. With `None`
+//!   (or a subscriber whose [`Subscriber::enabled`] is `false`) each
+//!   macro reduces to a single predictable branch — the no-op path costs
+//!   nothing measurable and, by the determinism contract (DESIGN.md §8),
+//!   **must not** influence any scheduling decision.
 //! * **Collection** happens in a [`Recorder`]: thread-safe counters,
-//!   log₂-bucketed histograms, per-span wall-time totals and an optional
-//!   bounded event log. [`Recorder::snapshot`] returns a
-//!   [`MetricsSnapshot`] with `BTreeMap`-sorted keys, so two runs of a
-//!   deterministic workload produce byte-identical snapshot JSON (wall
-//!   times excluded — see [`MetricsSnapshot::to_json`]).
+//!   log₂-bucketed histograms and per-span wall-time totals.
+//!   [`Recorder::snapshot`] returns a [`MetricsSnapshot`] with
+//!   `BTreeMap`-sorted keys, so two runs of a deterministic workload
+//!   produce byte-identical snapshot JSON (wall times excluded — see
+//!   [`MetricsSnapshot::to_json`]).
 //! * **Per-slot records**: the MCS drivers fill [`SlotMetrics`] rows
 //!   (feasible-set size, tags served, fallback flag, wall time) exported
 //!   via [`slot_metrics_to_csv`] / [`slot_metrics_to_json`].
@@ -38,7 +37,7 @@ mod subscriber;
 
 pub use recorder::{HistogramSnapshot, MetricsSnapshot, Recorder, SpanSnapshot};
 pub use slot::{slot_metrics_to_csv, slot_metrics_to_json, SlotMetrics};
-pub use subscriber::{EventRecord, NoopSubscriber, SpanGuard, Subscriber, Value};
+pub use subscriber::{NoopSubscriber, SpanGuard, Subscriber};
 
 /// Filters a subscriber handle down to `Some` only when it is both
 /// present and enabled. The macros route through this so a disabled
@@ -61,16 +60,6 @@ pub fn active(sub: Option<&dyn Subscriber>) -> Option<&dyn Subscriber> {
 macro_rules! span {
     ($sub:expr, $name:expr) => {
         $crate::SpanGuard::enter($sub, $name)
-    };
-}
-
-/// Emits a structured event: `event!(sub, "net.crash", "node" => v);`.
-#[macro_export]
-macro_rules! event {
-    ($sub:expr, $name:expr $(, $key:literal => $value:expr)* $(,)?) => {
-        if let Some(s) = $crate::active($sub) {
-            s.event($name, &[$(($key, $crate::Value::from($value))),*]);
-        }
     };
 }
 
@@ -103,31 +92,25 @@ mod tests {
 
     #[test]
     fn macros_reach_an_attached_recorder() {
-        let rec = Recorder::with_events();
+        let rec = Recorder::new();
         let sub: Option<&dyn Subscriber> = Some(&rec);
         {
             let _g = span!(sub, "test.span");
             counter!(sub, "test.count", 3);
             counter!(sub, "test.count", 4);
             histogram!(sub, "test.histo", 17);
-            event!(sub, "test.event", "reader" => 5usize, "ok" => true);
         }
         let snap = rec.snapshot();
         assert_eq!(snap.counter("test.count"), 7);
         assert_eq!(snap.histograms["test.histo"].count, 1);
         assert_eq!(snap.histograms["test.histo"].sum, 17);
         assert_eq!(snap.spans["test.span"].count, 1);
-        let events = rec.events();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].name, "test.event");
-        assert_eq!(events[0].fields[0], ("reader".into(), Value::U64(5)));
     }
 
     #[test]
     fn none_and_noop_subscribers_are_inert() {
         let none: Option<&dyn Subscriber> = None;
         counter!(none, "x", 1);
-        event!(none, "x");
         let noop = NoopSubscriber;
         let sub: Option<&dyn Subscriber> = Some(&noop);
         // `active` filters the disabled subscriber out before any call.

@@ -1,14 +1,9 @@
 //! The collecting subscriber and its deterministic snapshots.
 
 use crate::json;
-use crate::subscriber::{EventRecord, Subscriber, Value};
+use crate::subscriber::Subscriber;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
-
-/// Events kept by [`Recorder::with_events`] before older ones are
-/// counted-but-dropped. Bounds memory on pathological workloads while
-/// keeping every event of a normal schedule run.
-const EVENT_LOG_CAP: usize = 1 << 16;
 
 /// Number of log₂ buckets: bucket 0 holds the value 0, bucket `i ≥ 1`
 /// holds values in `[2^(i-1), 2^i)`.
@@ -19,8 +14,6 @@ struct Inner {
     counters: BTreeMap<&'static str, u64>,
     histograms: BTreeMap<&'static str, Histogram>,
     spans: BTreeMap<&'static str, SpanStat>,
-    events: Vec<EventRecord>,
-    events_dropped: u64,
 }
 
 #[derive(Clone)]
@@ -66,7 +59,7 @@ struct SpanStat {
 }
 
 /// The in-memory collecting [`Subscriber`]: thread-safe counters,
-/// histograms, span totals and (optionally) a bounded event log.
+/// histograms and span totals.
 ///
 /// Everything except wall-clock span durations is a pure function of the
 /// instrumented computation, so deterministic workloads produce identical
@@ -74,23 +67,12 @@ struct SpanStat {
 #[derive(Default)]
 pub struct Recorder {
     inner: Mutex<Inner>,
-    record_events: bool,
 }
 
 impl Recorder {
     /// A recorder collecting counters, histograms and span totals.
-    /// Individual events are counted (`events_seen`) but not stored.
     pub fn new() -> Self {
         Recorder::default()
-    }
-
-    /// Like [`new`](Self::new), but also keeps the first
-    /// `EVENT_LOG_CAP` individual events for trace output.
-    pub fn with_events() -> Self {
-        Recorder {
-            inner: Mutex::default(),
-            record_events: true,
-        }
     }
 
     /// A sorted, self-consistent copy of everything collected so far.
@@ -148,38 +130,9 @@ impl Recorder {
                 .collect(),
         }
     }
-
-    /// The stored events, in emission order (empty unless built by
-    /// [`with_events`](Self::with_events)).
-    pub fn events(&self) -> Vec<EventRecord> {
-        self.inner.lock().expect("recorder poisoned").events.clone()
-    }
-
-    /// Events not stored because the log cap was reached.
-    pub fn events_dropped(&self) -> u64 {
-        self.inner.lock().expect("recorder poisoned").events_dropped
-    }
 }
 
 impl Subscriber for Recorder {
-    fn event(&self, name: &'static str, fields: &[(&'static str, Value)]) {
-        let mut inner = self.inner.lock().expect("recorder poisoned");
-        *inner.counters.entry("events_seen").or_default() += 1;
-        if self.record_events {
-            if inner.events.len() < EVENT_LOG_CAP {
-                inner.events.push(EventRecord {
-                    name: name.to_string(),
-                    fields: fields
-                        .iter()
-                        .map(|&(k, ref v)| (k.to_string(), v.clone()))
-                        .collect(),
-                });
-            } else {
-                inner.events_dropped += 1;
-            }
-        }
-    }
-
     fn counter(&self, name: &'static str, delta: u64) {
         let mut inner = self.inner.lock().expect("recorder poisoned");
         *inner.counters.entry(name).or_default() += delta;
@@ -220,7 +173,7 @@ pub struct SpanSnapshot {
     pub count: u64,
     /// Total wall-clock nanoseconds (saturating). Wall time is
     /// measurement, not behaviour: it is excluded from determinism
-    /// comparisons and from [`MetricsSnapshot::to_json`] by default.
+    /// comparisons and from [`MetricsSnapshot::to_json`].
     pub total_nanos: u64,
 }
 
@@ -245,17 +198,6 @@ impl MetricsSnapshot {
     /// durations replaced by closure counts only, so two runs of the same
     /// deterministic workload serialize byte-identically.
     pub fn to_json(&self) -> String {
-        self.render(false)
-    }
-
-    /// JSON rendering including wall-clock span totals
-    /// (`span_total_nanos`) — for human-facing reports, not for
-    /// determinism comparisons.
-    pub fn to_json_with_timings(&self) -> String {
-        self.render(true)
-    }
-
-    fn render(&self, timings: bool) -> String {
         let mut out = String::from("{");
         json::push_key(&mut out, "counters");
         out.push('{');
@@ -293,14 +235,7 @@ impl MetricsSnapshot {
                 out.push(',');
             }
             json::push_key(&mut out, k);
-            if timings {
-                out.push_str(&format!(
-                    "{{\"count\":{},\"total_nanos\":{}}}",
-                    s.count, s.total_nanos
-                ));
-            } else {
-                out.push_str(&format!("{{\"count\":{}}}", s.count));
-            }
+            out.push_str(&format!("{{\"count\":{}}}", s.count));
         }
         out.push('}');
         out.push('}');
@@ -333,18 +268,8 @@ mod tests {
         let rec = Recorder::new();
         rec.span_close("s", 123);
         let snap = rec.snapshot();
+        assert_eq!(snap.spans["s"].total_nanos, 123);
         assert!(!snap.to_json().contains("total_nanos"));
-        assert!(snap.to_json_with_timings().contains("\"total_nanos\":123"));
-    }
-
-    #[test]
-    fn event_log_caps_and_counts_drops() {
-        let rec = Recorder::with_events();
-        for _ in 0..3 {
-            rec.event("e", &[]);
-        }
-        assert_eq!(rec.events().len(), 3);
-        assert_eq!(rec.events_dropped(), 0);
-        assert_eq!(rec.snapshot().counter("events_seen"), 3);
+        assert!(snap.to_json().contains("\"s\":{\"count\":1}"));
     }
 }

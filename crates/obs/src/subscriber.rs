@@ -1,88 +1,6 @@
-//! The [`Subscriber`] trait, event field values and the RAII span guard.
+//! The [`Subscriber`] trait and the RAII span guard.
 
 use std::time::Instant;
-
-/// A dynamically-typed event field value.
-///
-/// Covers the shapes instrumentation sites actually emit (ids, counts,
-/// flags, labels); `From` impls let the [`event!`](crate::event!) macro
-/// accept plain Rust values.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// Unsigned integer (ids, counts).
-    U64(u64),
-    /// Signed integer.
-    I64(i64),
-    /// Floating point (rates, weights).
-    F64(f64),
-    /// Boolean flag.
-    Bool(bool),
-    /// Static label.
-    Str(&'static str),
-}
-
-impl From<u64> for Value {
-    fn from(v: u64) -> Self {
-        Value::U64(v)
-    }
-}
-
-impl From<usize> for Value {
-    fn from(v: usize) -> Self {
-        Value::U64(v as u64)
-    }
-}
-
-impl From<u32> for Value {
-    fn from(v: u32) -> Self {
-        Value::U64(u64::from(v))
-    }
-}
-
-impl From<i64> for Value {
-    fn from(v: i64) -> Self {
-        Value::I64(v)
-    }
-}
-
-impl From<f64> for Value {
-    fn from(v: f64) -> Self {
-        Value::F64(v)
-    }
-}
-
-impl From<bool> for Value {
-    fn from(v: bool) -> Self {
-        Value::Bool(v)
-    }
-}
-
-impl From<&'static str> for Value {
-    fn from(v: &'static str) -> Self {
-        Value::Str(v)
-    }
-}
-
-impl std::fmt::Display for Value {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Value::U64(v) => write!(f, "{v}"),
-            Value::I64(v) => write!(f, "{v}"),
-            Value::F64(v) => write!(f, "{v}"),
-            Value::Bool(v) => write!(f, "{v}"),
-            Value::Str(v) => write!(f, "{v}"),
-        }
-    }
-}
-
-/// One recorded event: name plus field key/value pairs, in emission order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EventRecord {
-    /// Event name (dot-separated, e.g. `"net.crash"`).
-    pub name: String,
-    /// Field key/value pairs as emitted.
-    pub fields: Vec<(String, Value)>,
-}
 
 /// The observation sink threaded through instrumented code.
 ///
@@ -98,9 +16,6 @@ pub trait Subscriber: Send + Sync {
     fn enabled(&self) -> bool {
         true
     }
-
-    /// A structured point event.
-    fn event(&self, name: &'static str, fields: &[(&'static str, Value)]);
 
     /// Adds `delta` to the named monotone counter.
     fn counter(&self, name: &'static str, delta: u64);
@@ -121,8 +36,6 @@ impl Subscriber for NoopSubscriber {
     fn enabled(&self) -> bool {
         false
     }
-
-    fn event(&self, _name: &'static str, _fields: &[(&'static str, Value)]) {}
 
     fn counter(&self, _name: &'static str, _delta: u64) {}
 

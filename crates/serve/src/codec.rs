@@ -21,6 +21,7 @@
 use rfid_core::SchedulerRegistry;
 use rfid_model::{Deployment, Scenario};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 // The canonical renderer and content hash moved to `rfid-delta` (the
 // delta key derivation needs them without a serve dependency); they are
@@ -108,6 +109,15 @@ impl JobSpec {
             algo_seed: 0,
             resilient: false,
             max_slots: None,
+        }
+    }
+
+    /// The deployment this job schedules: generated from its scenario, or
+    /// borrowed from an explicit workload without a copy.
+    pub fn deployment(&self) -> Cow<'_, Deployment> {
+        match &self.workload {
+            Workload::Generated { scenario, seed } => Cow::Owned(scenario.generate(*seed)),
+            Workload::Explicit { deployment } => Cow::Borrowed(deployment),
         }
     }
 

@@ -30,8 +30,8 @@ use rfid_core::mcs::{covering_schedule_with, CoveringSchedule, McsOptions};
 use rfid_core::SchedulerRegistry;
 use rfid_delta::{apply_ops, derived_key, key_hex, parse_key_hex, ScenarioDelta};
 use rfid_model::interference::interference_graph;
-use rfid_model::{Coverage, Deployment};
-use rfid_obs::{counter, event, Recorder, Subscriber};
+use rfid_model::Coverage;
+use rfid_obs::{counter, Recorder, Subscriber};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -383,7 +383,7 @@ impl Service {
             cache: ScheduleCache::new(config.cache_cap, config.cache_ttl),
             queue: WorkQueue::new(config.queue_cap),
             inflight: Mutex::new(HashMap::new()),
-            recorder: Recorder::with_events(),
+            recorder: Recorder::new(),
             shutting_down: AtomicBool::new(false),
             workers: config.workers,
             handles: Mutex::new(Vec::new()),
@@ -414,15 +414,12 @@ impl Service {
             }
             inner.recovered.store(warmed, Ordering::Relaxed);
             let sub: Option<&dyn Subscriber> = Some(&inner.recorder);
-            event!(
+            counter!(
                 sub,
-                "serve.recovery",
-                "entries" => warmed,
-                "journal_records" => report.journal_records,
-                "dropped_bytes" => report.dropped_bytes,
-                "errors" => report.errors.len(),
-                "warm" => warmed > 0,
+                "serve.recovery.journal_records",
+                report.journal_records
             );
+            counter!(sub, "serve.recovery.dropped_bytes", report.dropped_bytes);
             counter!(sub, "serve.recovery.errors", report.errors.len() as u64);
         }
         let mut handles = Vec::with_capacity(config.workers);
@@ -611,15 +608,7 @@ impl Service {
         // Ops index tags and readers in the *canonical* base deployment
         // (the form the base's own reply was computed from): patch the
         // stored one in place of a copy, or generate a `Generated` base.
-        let generated: Deployment;
-        let base_deployment = match &spec.workload {
-            Workload::Generated { scenario, seed } => {
-                generated = scenario.generate(*seed);
-                &generated
-            }
-            Workload::Explicit { deployment } => deployment,
-        };
-        let patched = match apply_ops(base_deployment, ops) {
+        let patched = match apply_ops(&spec.deployment(), ops) {
             Ok(patched) => patched,
             Err(e) => {
                 return self.fail(ServiceError::new(
@@ -977,10 +966,7 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
 
 /// Solves one canonical job and renders its canonical payload.
 fn solve(inner: &Inner, spec: &JobSpec) -> Result<Arc<str>, ServiceError> {
-    let deployment: Deployment = match &spec.workload {
-        Workload::Generated { scenario, seed } => scenario.generate(*seed),
-        Workload::Explicit { deployment } => deployment.clone(),
-    };
+    let deployment = spec.deployment();
     let coverage = Coverage::build(&deployment);
     let graph = interference_graph(&deployment);
     let kind = inner
@@ -1028,7 +1014,7 @@ fn solve(inner: &Inner, spec: &JobSpec) -> Result<Arc<str>, ServiceError> {
 mod tests {
     use super::*;
     use crate::protocol::{CODE_QUEUE_FULL, CODE_SHUTTING_DOWN, CODE_UNKNOWN_ALGORITHM};
-    use rfid_model::{RadiusModel, Scenario, ScenarioKind};
+    use rfid_model::{Deployment, RadiusModel, Scenario, ScenarioKind};
 
     fn small_job(seed: u64) -> JobSpec {
         JobSpec::new(Workload::Generated {
@@ -1529,6 +1515,37 @@ mod tests {
         assert_eq!(restarted.stats().journal_appends, 0);
         restarted.shutdown(true);
         assert!(!dir.join(crate::journal::JOURNAL_FILE).exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn recovery_counts_replayed_records_and_dropped_bytes() {
+        let dir =
+            std::env::temp_dir().join(format!("rfid_service_recovery_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = ServeConfig {
+            workers: 1,
+            data_dir: Some(dir.clone()),
+            snapshot_every: 0,
+            ..quick_config()
+        };
+        let service = Service::start(config.clone()).unwrap();
+        for seed in [3, 4] {
+            service.schedule(&small_job(seed), None).unwrap();
+        }
+        service.shutdown(true);
+        // A torn tail after the two whole records.
+        let journal = dir.join(crate::journal::JOURNAL_FILE);
+        let mut bytes = std::fs::read(&journal).unwrap();
+        bytes.extend_from_slice(b"{\"key\":");
+        std::fs::write(&journal, bytes).unwrap();
+        let restarted = Service::start(config).unwrap();
+        assert_eq!(restarted.stats().recovered_entries, 2);
+        let snap = restarted.inner.recorder.snapshot();
+        assert_eq!(snap.counter("serve.recovery.journal_records"), 2);
+        assert_eq!(snap.counter("serve.recovery.dropped_bytes"), 7);
+        assert_eq!(snap.counter("serve.recovery.errors"), 0);
+        restarted.shutdown(true);
         std::fs::remove_dir_all(&dir).ok();
     }
 

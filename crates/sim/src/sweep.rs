@@ -154,9 +154,7 @@ fn run_point(config: &SweepConfig, value: f64, seed: u64) -> Vec<TrialRecord> {
         let mut bytes = None;
         if config.measure_oneshot {
             let unread = TagSet::all_unread(deployment.n_tags());
-            let input = OneShotInput::builder(&deployment, &coverage, &graph)
-                .unread(&unread)
-                .build();
+            let input = OneShotInput::new(&deployment, &coverage, &graph, &unread);
             let set = scheduler.schedule(&input);
             debug_assert!(
                 deployment.is_feasible(&set),
@@ -185,7 +183,7 @@ fn run_point(config: &SweepConfig, value: f64, seed: u64) -> Vec<TrialRecord> {
             mcs_size = Some(schedule.size());
         }
         records.push(TrialRecord {
-            algorithm: registry.entry(kind).label.to_string(),
+            algorithm: kind.label().to_string(),
             lambda_interference,
             lambda_interrogation,
             seed,

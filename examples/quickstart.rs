@@ -36,13 +36,11 @@ fn main() {
 
     // 3. One-shot scheduling: pick a feasible set of readers for a single
     //    time slot, maximising the number of well-covered tags. The
-    //    registry maps algorithm names to constructors; the builder
-    //    assembles the scheduler input.
+    //    registry maps algorithm names to constructors; the input carries
+    //    the unread tags and their per-reader weights.
     let registry = SchedulerRegistry::global();
     let unread = TagSet::all_unread(deployment.n_tags());
-    let input = OneShotInput::builder(&deployment, &coverage, &graph)
-        .unread(&unread)
-        .build();
+    let input = OneShotInput::new(&deployment, &coverage, &graph, &unread);
     // The exact solver is exponential — skip it beyond toy sizes.
     let lineup = || {
         registry
@@ -58,7 +56,7 @@ fn main() {
             deployment.is_feasible(&set),
             "schedulers must avoid reader-tag collisions"
         );
-        describe_activation(&input, entry.label, &set);
+        describe_activation(&input, entry.kind.label(), &set);
     }
 
     // 4. Covering schedule: iterate one-shot slots until every coverable
@@ -80,7 +78,7 @@ fn main() {
         let snapshot = recorder.snapshot();
         println!(
             "  {:<18} {:>3} slots, {} tags served, {} unreachable, {} fallback slots observed",
-            entry.label,
+            entry.kind.label(),
             schedule.size(),
             schedule.tags_served(),
             schedule.uncoverable.len(),

@@ -20,7 +20,7 @@ fn approximation_guarantees_hold_on_small_instances() {
         let registry = SchedulerRegistry::global();
         let opt = input.weight_of(&ExactScheduler::default().schedule(&input)) as f64;
         for kind in AlgorithmKind::paper_lineup() {
-            let label = registry.entry(kind).label;
+            let label = kind.label();
             let w = input.weight_of(&registry.instantiate(kind, seed).schedule(&input)) as f64;
             assert!(
                 w <= opt + 1e-9,
@@ -117,7 +117,7 @@ proptest! {
                 continue; // exponential; covered by the dedicated tests
             }
             let set = registry.instantiate(entry.kind, seed).schedule(&input);
-            prop_assert!(d.is_feasible(&set), "{}", entry.label);
+            prop_assert!(d.is_feasible(&set), "{}", entry.kind.label());
         }
     }
 

@@ -41,15 +41,6 @@ fn service() -> Service {
     .expect("start service")
 }
 
-/// The deployment a canonical spec schedules — the one a delta against
-/// that spec's key indexes tags and readers in.
-fn deployment_of(spec: &JobSpec) -> Deployment {
-    match &spec.workload {
-        Workload::Generated { scenario, seed } => scenario.generate(*seed),
-        Workload::Explicit { deployment } => deployment.clone(),
-    }
-}
-
 /// A seeded op stream covering every delta kind, with indices kept in
 /// range against the *evolving* tag population (RemoveTag shifts later
 /// indices down, so validity depends on op order).
@@ -111,7 +102,11 @@ fn chain_through_serve(
     let served = service();
     let cold = service();
     let mut key = served.schedule(base, None).expect("base solves").key;
-    let mut d = deployment_of(&CanonicalJob::new(base, &registry).expect("valid base").spec);
+    let mut d = CanonicalJob::new(base, &registry)
+        .expect("valid base")
+        .spec
+        .deployment()
+        .into_owned();
     let mut payloads = Vec::with_capacity(hops);
     for hop in 0..hops {
         let ops = next_ops(&d, hop);
@@ -141,7 +136,11 @@ fn chain_through_serve(
             "hop {hop}: delta reply differs from the full request"
         );
 
-        let canonical = deployment_of(&CanonicalJob::new(&patched, &registry).unwrap().spec);
+        let canonical = CanonicalJob::new(&patched, &registry)
+            .unwrap()
+            .spec
+            .deployment()
+            .into_owned();
         let outcome = reply.outcome().expect("payload parses");
         assert_eq!(
             verify_covering_schedule(&canonical, &outcome.schedule),
@@ -187,7 +186,7 @@ fn empty_delta_replays_the_base_schedule_exactly() {
     for seed in 0..4u64 {
         let generated = base_job(seed, "alg2-central");
         let base = JobSpec::new(Workload::Explicit {
-            deployment: deployment_of(&generated),
+            deployment: generated.deployment().into_owned(),
         });
         let served = service();
         let reply = served.schedule(&base, None).unwrap();
@@ -207,7 +206,11 @@ fn empty_delta_replays_the_base_schedule_exactly() {
             reply.payload.as_bytes(),
             "seed {seed}"
         );
-        let canonical = deployment_of(&CanonicalJob::new(&base, &registry).unwrap().spec);
+        let canonical = CanonicalJob::new(&base, &registry)
+            .unwrap()
+            .spec
+            .deployment()
+            .into_owned();
         let outcome = delta.outcome().unwrap();
         assert_eq!(
             verify_covering_schedule(&canonical, &outcome.schedule),
@@ -228,7 +231,7 @@ fn mobility_delta_stream_chains_through_serve() {
         seed: 9,
     });
     let sim = rfid_sim::MobilitySim {
-        initial: deployment_of(&base),
+        initial: base.deployment().into_owned(),
         model: rfid_sim::MobilityModel::RandomWalk { sigma: 8.0 },
         slots_per_epoch: 2,
         max_epochs: 4,
@@ -261,7 +264,7 @@ fn dynamic_delta_stream_chains_through_serve() {
         warmup: 0,
         seed: 4,
     };
-    let stream = rfid_sim::dynamic_delta_stream(&deployment_of(&base), config);
+    let stream = rfid_sim::dynamic_delta_stream(&base.deployment(), config);
     assert!(
         stream.iter().flatten().count() > 0,
         "rate 8 over 5 slots arrives"

@@ -38,7 +38,7 @@ fn slot_metrics_reconcile_with_schedule_totals() {
                 &McsOptions::new().slot_metrics(true),
             )
             .expect("strict covering schedule diverged");
-            let label = registry.entry(kind).label;
+            let label = kind.label();
             let schedule = &run.schedule;
             assert_eq!(run.slot_metrics.len(), schedule.size(), "{label}");
             let mut served = 0usize;
@@ -75,7 +75,7 @@ fn recorder_counters_match_schedule_totals() {
         )
         .expect("strict covering schedule diverged");
         let snap = recorder.snapshot();
-        let label = registry.entry(kind).label;
+        let label = kind.label();
         assert_eq!(
             snap.counter("mcs.slots") as usize,
             run.schedule.size(),

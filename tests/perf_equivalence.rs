@@ -227,9 +227,6 @@ struct Crashy {
 }
 
 impl OneShotScheduler for Crashy {
-    fn name(&self) -> &'static str {
-        "crashy"
-    }
     fn schedule(&mut self, input: &OneShotInput<'_>) -> Vec<ReaderId> {
         self.inner.schedule(input)
     }
@@ -246,9 +243,6 @@ impl OneShotScheduler for Crashy {
 struct Silent;
 
 impl OneShotScheduler for Silent {
-    fn name(&self) -> &'static str {
-        "silent"
-    }
     fn schedule(&mut self, _input: &OneShotInput<'_>) -> Vec<ReaderId> {
         Vec::new()
     }
@@ -345,11 +339,9 @@ proptest! {
         }
         let singleton: Vec<usize> =
             WeightEvaluator::new(&c).all_singleton_weights(&unread);
+        let positive: Vec<ReaderId> = (0..singleton.len()).filter(|&v| singleton[v] > 0).collect();
         let plain = OneShotInput::new(&d, &c, &g, &unread);
-        let hinted = OneShotInput::builder(&d, &c, &g)
-            .unread(&unread)
-            .singleton_weights(&singleton)
-            .build();
+        let hinted = OneShotInput::with_weights(&d, &c, &g, &unread, &singleton, &positive);
         let a = make_scheduler(kind, seed).schedule(&plain);
         let b = make_scheduler(kind, seed).schedule(&hinted);
         prop_assert_eq!(a, b, "{:?} seed {}", kind, seed);
