@@ -395,12 +395,21 @@ fn unicode_escapes_decode_or_fail_as_before() {
         (r#""\u20AC1""#, Ok("€1")),
         (r#""\u0000""#, Ok("\u{0}")),
         (r#""\u001f""#, Ok("\u{1f}")),
-        (r#""\u12""#, Err("serde_json: truncated \\u escape")),
-        (r#""\u12"x""#, Err("serde_json: bad \\u escape")),
-        (r#""\u12"#, Err("serde_json: truncated \\u escape")),
-        (r#""\u12G4""#, Err("serde_json: bad \\u escape")),
-        (r#""\ud834""#, Err("serde_json: bad \\u code point")),
-        (r#""\x""#, Err("serde_json: unknown escape \\x")),
+        (
+            r#""\u12""#,
+            Err("serde_json: truncated \\u escape at byte 1"),
+        ),
+        (r#""\u12"x""#, Err("serde_json: bad \\u escape at byte 1")),
+        (
+            r#""\u12"#,
+            Err("serde_json: truncated \\u escape at byte 1"),
+        ),
+        (r#""\u12G4""#, Err("serde_json: bad \\u escape at byte 1")),
+        (
+            r#""\ud834""#,
+            Err("serde_json: bad \\u code point at byte 1"),
+        ),
+        (r#""\x""#, Err("serde_json: unknown escape \\x at byte 1")),
     ] {
         let expected = expected.map(str::to_string).map_err(str::to_string);
         assert_eq!(parse(text), expected, "{text}");
@@ -423,16 +432,19 @@ fn raw_control_bytes_are_accepted_verbatim() {
 #[test]
 fn unterminated_strings_are_errors() {
     for (text, message) in [
-        ("\"", "serde_json: unterminated string"),
-        ("\"abc", "serde_json: unterminated string"),
-        ("\"é€", "serde_json: unterminated string"),
-        ("\"abc\\\"", "serde_json: unterminated string"),
-        ("\"abc\\", "serde_json: unterminated escape"),
+        ("\"", "serde_json: unterminated string at byte 1"),
+        ("\"abc", "serde_json: unterminated string at byte 4"),
+        ("\"é€", "serde_json: unterminated string at byte 6"),
+        ("\"abc\\\"", "serde_json: unterminated string at byte 6"),
+        ("\"abc\\", "serde_json: unterminated escape at byte 4"),
     ] {
         assert_eq!(parse(text), Err(message.to_string()), "{text}");
     }
     let err = serde_json::from_str::<Value>(r#"{"key":"value"#).unwrap_err();
-    assert_eq!(err.to_string(), "serde_json: unterminated string");
+    assert_eq!(
+        err.to_string(),
+        "serde_json: unterminated string at byte 13"
+    );
 }
 
 #[test]
@@ -464,16 +476,16 @@ fn negative_literals_below_i64_min_are_errors() {
     // `-18446744073709551615` once wrapped to 1, and a u64 field read it.
     assert_eq!(
         decode_error::<u64>("-18446744073709551615"),
-        "serde_json: bad number `-18446744073709551615`"
+        "serde_json: bad number at byte 0"
     );
     assert_eq!(
         decode_error::<Vec<u64>>("[-18446744073709551615]"),
-        "serde_json: bad number `-18446744073709551615`"
+        "serde_json: bad number at byte 1"
     );
     // One below i64::MIN once saturated to i64::MAX.
     assert_eq!(
         decode_error::<i64>("-9223372036854775809"),
-        "serde_json: bad number `-9223372036854775809`"
+        "serde_json: bad number at byte 0"
     );
     // i64::MIN itself is in range (a debug build once panicked negating it).
     assert_eq!(
@@ -488,7 +500,7 @@ fn negative_literals_below_i64_min_are_errors() {
     // The positive side already failed this way.
     assert_eq!(
         decode_error::<u64>("18446744073709551616"),
-        "serde_json: bad number `18446744073709551616`"
+        "serde_json: bad number at byte 0"
     );
 }
 
@@ -498,15 +510,15 @@ fn integral_floats_convert_only_in_range() {
     // report the integer error.
     assert_eq!(
         decode_error::<u8>("300"),
-        "serde_json: 300 out of range for u8"
+        "serde_json: 300 out of range for u8 at byte 0"
     );
     assert_eq!(
         decode_error::<u8>("300.0"),
-        "serde_json: 300 out of range for u8"
+        "serde_json: 300 out of range for u8 at byte 0"
     );
     assert_eq!(
         decode_error::<u8>("-1.0"),
-        "serde_json: -1 out of range for u8"
+        "serde_json: -1 out of range for u8 at byte 0"
     );
     assert_eq!(serde_json::from_str::<u8>("255.0"), Ok(255));
     assert_eq!(serde_json::from_str::<u64>("2.5e2"), Ok(250));
@@ -515,13 +527,17 @@ fn integral_floats_convert_only_in_range() {
         Ok(i64::MIN)
     );
     // `1e300` once decoded as u64::MAX.
-    assert!(decode_error::<u64>("1e300").ends_with("out of range for u64"));
-    assert!(decode_error::<u64>("18446744073709551616.0").ends_with("out of range for u64"));
-    assert!(decode_error::<i64>("9223372036854775808.0").ends_with("out of range for i64"));
+    assert!(decode_error::<u64>("1e300").ends_with("out of range for u64 at byte 0"));
+    assert!(
+        decode_error::<u64>("18446744073709551616.0").ends_with("out of range for u64 at byte 0")
+    );
+    assert!(
+        decode_error::<i64>("9223372036854775808.0").ends_with("out of range for i64 at byte 0")
+    );
     // Through a derived type, with the field path in front.
     assert_eq!(
         decode_error::<Vec<ScenarioDelta>>(r#"[{"RemoveTag":{"tag":1e10}}]"#),
-        "serde_json: ScenarioDelta::RemoveTag.tag: 10000000000 out of range for u32"
+        "serde_json: ScenarioDelta::RemoveTag.tag: 10000000000 out of range for u32 at byte 21"
     );
     assert_eq!(
         serde_json::from_str::<Vec<ScenarioDelta>>(r#"[{"RemoveTag":{"tag":7.0}}]"#),
@@ -530,6 +546,6 @@ fn integral_floats_convert_only_in_range() {
     // Non-integral floats still fail as before.
     assert_eq!(
         decode_error::<u8>("0.5"),
-        "serde_json: expected u8, got F64(0.5)"
+        "serde_json: expected u8, found a float at byte 0"
     );
 }

@@ -323,6 +323,31 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_line_is_dropped_as_a_torn_tail() {
+        let (storage, root) = disk("deep");
+        let store = DurableStore::new(Arc::clone(&storage), 0);
+        assert!(store.persist(1, "one", &Vec::new));
+        assert!(store.persist(2, "two", &Vec::new));
+        // A line nested far past the parser's limit, then a valid record:
+        // recovery keeps the prefix, cuts the rest and does not crash.
+        let deep = format!("{{\"junk\":{}\n", "[".repeat(100_000));
+        storage.append(JOURNAL_FILE, deep.as_bytes()).unwrap();
+        storage
+            .append(JOURNAL_FILE, encode_record(3, "three").as_bytes())
+            .unwrap();
+        let report = store.recover();
+        assert_eq!(
+            report.entries,
+            vec![(1, "one".to_string()), (2, "two".to_string())]
+        );
+        assert_eq!(
+            report.dropped_bytes,
+            deep.len() + encode_record(3, "three").len()
+        );
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
     fn empty_journal_recovers_to_nothing() {
         let report = replay(b"");
         assert!(report.entries.is_empty());

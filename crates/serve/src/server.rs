@@ -432,6 +432,58 @@ mod tests {
         server.shutdown();
     }
 
+    /// Sends one raw line on a fresh connection and returns the raw
+    /// reply line.
+    fn raw_round_trip(addr: &str, line: &str) -> String {
+        let mut raw = BufReader::new(std::net::TcpStream::connect(addr).unwrap());
+        raw.get_mut().write_all(line.as_bytes()).unwrap();
+        let mut reply = String::new();
+        raw.read_line(&mut reply).unwrap();
+        reply
+    }
+
+    fn assert_bounded_400(reply: &str) {
+        assert!(reply.len() < 1024, "{} byte reply", reply.len());
+        match decode_frame::<Response>(reply) {
+            Ok(Response::Error { code, .. }) => assert_eq!(code, CODE_BAD_REQUEST),
+            other => panic!("expected a 400 frame, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn deeply_nested_frame_gets_a_400_and_the_daemon_keeps_serving() {
+        let server = test_server();
+        let addr = server.addr().to_string();
+        // Parsed recursively, 100 000 brackets overflowed the reactor
+        // thread's stack and aborted the daemon.
+        let deep = format!("{}{}\n", "[".repeat(100_000), "]".repeat(100_000));
+        assert_bounded_400(&raw_round_trip(&addr, &deep));
+        // The same depth under an unknown field of a valid frame is
+        // skipped, not built, and still stops at the nesting limit.
+        let hidden = format!("{{\"Hello\":{{\"v\":4,\"x\":{}}}}}\n", "[".repeat(100_000));
+        assert_bounded_400(&raw_round_trip(&addr, &hidden));
+        let mut client = TcpClient::connect(&addr).unwrap();
+        assert!(!client.schedule(&small_job(5), None).unwrap().cached);
+        server.shutdown();
+    }
+
+    #[test]
+    fn oversize_malformed_frame_gets_a_short_400() {
+        let server = test_server();
+        let addr = server.addr().to_string();
+        // `job` must be a map; a ~600 KB integer array once came back
+        // quoted whole in a 1.19 MB error message.
+        let ints = vec!["1234567"; 75_000].join(",");
+        let frame = format!("{{\"Schedule\":{{\"job\":[{ints}],\"deadline_ms\":null}}}}\n");
+        assert!(frame.len() > 590_000);
+        let reply = raw_round_trip(&addr, &frame);
+        assert_bounded_400(&reply);
+        assert!(reply.contains("at byte"), "{reply}");
+        let mut client = TcpClient::connect(&addr).unwrap();
+        assert!(client.schedule(&small_job(6), None).is_ok());
+        server.shutdown();
+    }
+
     #[test]
     fn shutdown_frame_stops_the_daemon() {
         let server = test_server();
