@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rfid_core::exact::exact_mwfs_restricted;
+use rfid_core::OneShotInput;
 use rfid_geometry::sampling::uniform_points;
 use rfid_geometry::{GridIndex, Point, Rect};
 use rfid_graph::k_hop_ball;
@@ -83,17 +84,10 @@ fn bench_exact_mwfs(c: &mut Criterion) {
         let cov = Coverage::build(&d);
         let g = interference_graph(&d);
         let unread = TagSet::all_unread(d.n_tags());
+        let input = OneShotInput::new(&d, &cov, &g, &unread);
         let all: Vec<usize> = (0..n).collect();
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| {
-                black_box(exact_mwfs_restricted(
-                    &cov,
-                    &g,
-                    &unread,
-                    black_box(&all),
-                    &[],
-                ))
-            })
+            b.iter(|| black_box(exact_mwfs_restricted(&input, black_box(&all), &[])))
         });
     }
     group.finish();

@@ -914,7 +914,7 @@ mod tests {
     use super::*;
     use rfid_model::interference::interference_graph;
     use rfid_model::scenario::{Scenario, ScenarioKind};
-    use rfid_model::{Coverage, RadiusModel, WeightEvaluator};
+    use rfid_model::{singleton_weight, Coverage, RadiusModel};
 
     fn paper_like(n_readers: usize, seed: u64) -> rfid_model::Deployment {
         Scenario {
@@ -987,9 +987,8 @@ mod tests {
         let unread = TagSet::all_unread(d.n_tags());
         let input = OneShotInput::new(&d, &c, &g, &unread);
         let dist = DistributedScheduler::default().schedule(&input);
-        let mut weights = WeightEvaluator::new(&c);
         let expect: Vec<usize> = (0..9)
-            .filter(|&v| weights.singleton_weight(v, &unread) > 0)
+            .filter(|&v| singleton_weight(&c, v, &unread) > 0)
             .collect();
         assert_eq!(dist, expect);
     }
@@ -1203,9 +1202,8 @@ mod trace_and_crash_tests {
         let unread = TagSet::all_unread(d.n_tags());
         let input = OneShotInput::new(&d, &c, &g, &unread);
         // Crash the globally heaviest reader before it can announce.
-        let mut weights = rfid_model::WeightEvaluator::new(&c);
         let heaviest = (0..d.n_readers())
-            .max_by_key(|&v| weights.singleton_weight(v, &unread))
+            .max_by_key(|&v| rfid_model::singleton_weight(&c, v, &unread))
             .unwrap();
         let mut s = DistributedScheduler::default()
             .with_faults(FaultPlan::seeded(0).with_crash(heaviest, 0));
@@ -1337,10 +1335,9 @@ mod fault_plan_tests {
         // begins: its neighbourhood waits for it, hears nothing, and must
         // suspect it to re-elect. (An isolated reader blocks nobody, so
         // crashing one would never exercise the watchdog.)
-        let mut weights = rfid_model::WeightEvaluator::new(&c);
         let heaviest = (0..d.n_readers())
             .filter(|&v| !g.neighbors(v).is_empty())
-            .max_by_key(|&v| (weights.singleton_weight(v, &unread), v))
+            .max_by_key(|&v| (rfid_model::singleton_weight(&c, v, &unread), v))
             .unwrap();
         let mut s = DistributedScheduler::default()
             .with_faults(FaultPlan::seeded(3).with_crash(heaviest, 1));

@@ -21,10 +21,10 @@ use rfid_model::{Coverage, IncrementalCore, ReaderId, TagSet};
 pub const DEFAULT_NODE_BUDGET: u64 = 20_000_000;
 
 /// Best `X ⊆ candidates` such that `X ∪ base` is feasible, maximising
-/// `w(X ∪ base)`.
+/// `w(X ∪ base)` under `input`'s unread set.
 ///
-/// * `graph` must be the interference graph of the deployment behind
-///   `coverage`; feasibility is checked through it.
+/// * Feasibility is checked through `input.graph`, and the search's bound
+///   keys are `input`'s singleton weights.
 /// * `base` is a feasible context set (disjoint from `candidates`); its
 ///   members are fixed "on" and participate in RRc weight interactions.
 ///   Pass `&[]` for a plain MWFS.
@@ -32,43 +32,31 @@ pub const DEFAULT_NODE_BUDGET: u64 = 20_000_000;
 /// Returns the chosen subset of `candidates` only (not including `base`),
 /// sorted ascending.
 pub fn exact_mwfs_restricted(
-    coverage: &Coverage,
-    graph: &Csr,
-    unread: &TagSet,
+    input: &OneShotInput<'_>,
     candidates: &[ReaderId],
     base: &[ReaderId],
 ) -> Vec<ReaderId> {
-    exact_mwfs_budgeted(
-        coverage,
-        graph,
-        unread,
-        candidates,
-        base,
-        DEFAULT_NODE_BUDGET,
-    )
-    .0
+    exact_mwfs_budgeted(input, candidates, base, DEFAULT_NODE_BUDGET).0
 }
 
 /// As [`exact_mwfs_restricted`], also reporting whether the search completed
 /// within the node budget (`true`) or returned an anytime best (`false`).
 pub fn exact_mwfs_budgeted(
-    coverage: &Coverage,
-    graph: &Csr,
-    unread: &TagSet,
+    input: &OneShotInput<'_>,
     candidates: &[ReaderId],
     base: &[ReaderId],
     node_budget: u64,
 ) -> (Vec<ReaderId>, bool) {
-    let mut scratch = MwfsScratch::new(coverage, unread);
+    let mut scratch = MwfsScratch::new(input.coverage, input.unread);
     let mut out = Vec::new();
     let (_, complete) = exact_mwfs_weighted(
         &mut scratch,
-        coverage,
-        graph,
+        input.coverage,
+        input.graph,
         candidates,
         base,
         node_budget,
-        None,
+        input.singleton_weights(),
         &mut out,
     );
     (out, complete)
@@ -140,10 +128,10 @@ impl MwfsScratch {
 /// must be the table it was reset against; the scratch is returned clean
 /// (empty active set) for the next call.
 ///
-/// `singleton`, when given, must satisfy `singleton[v] == w({v})` under
-/// the scratch's unread snapshot for every candidate; the search then
-/// reads its bound keys from the slice instead of rescanning coverage
-/// rows (the covering-schedule driver maintains exactly this array).
+/// `singleton` must satisfy `singleton[v] == w({v})` under the scratch's
+/// unread snapshot for every candidate: the search reads its bound keys
+/// from it. Every caller already holds this array, from a
+/// [`OneShotInput`] or, for Algorithm 3, from its gossiped local view.
 ///
 /// Zero-singleton candidates are dropped before the search. They can
 /// never be explored: candidates are ordered by descending singleton
@@ -151,7 +139,7 @@ impl MwfsScratch {
 /// zero and the sub-additive prune `w + suffix ≤ best_w` (with
 /// `best_w ≥ w` after the just-performed incumbent update) always fires.
 /// Dropping them only shrinks the sorted prefix work, never the result.
-#[allow(clippy::too_many_arguments)] // the search inputs plus the two fast-path inputs
+#[allow(clippy::too_many_arguments)] // the search inputs, its bound keys and the output
 pub fn exact_mwfs_weighted(
     scratch: &mut MwfsScratch,
     coverage: &Coverage,
@@ -159,7 +147,7 @@ pub fn exact_mwfs_weighted(
     candidates: &[ReaderId],
     base: &[ReaderId],
     node_budget: u64,
-    singleton: Option<&[usize]>,
+    singleton: &[usize],
     out: &mut Vec<ReaderId>,
 ) -> (usize, bool) {
     debug_assert!(graph.is_independent_set(base), "base must be feasible");
@@ -188,14 +176,9 @@ pub fn exact_mwfs_weighted(
             .copied()
             .filter(|&v| base.iter().all(|&b| b != v && !graph.has_edge(b, v)))
             .map(|v| {
-                let w = match singleton {
-                    Some(s) => {
-                        debug_assert_eq!(s[v], inc.singleton_weight(coverage, v));
-                        s[v]
-                    }
-                    None => inc.singleton_weight(coverage, v),
-                };
-                (v, w)
+                // The core is clean, so its add-delta is w({v}).
+                debug_assert_eq!(singleton[v] as isize, inc.delta_if_added(coverage, v));
+                (v, singleton[v])
             })
             .filter(|&(_, w)| w > 0),
     );
@@ -576,9 +559,7 @@ impl OneShotScheduler for ExactScheduler {
     fn schedule(&mut self, input: &OneShotInput<'_>) -> Vec<ReaderId> {
         // Zero-weight readers never enter the search anyway.
         exact_mwfs_budgeted(
-            input.coverage,
-            input.graph,
-            input.unread,
+            input,
             input.positive_readers(),
             &[],
             self.node_budget.unwrap_or(DEFAULT_NODE_BUDGET),
@@ -623,20 +604,22 @@ mod tests {
     fn figure2_optimum_drops_the_middle_reader() {
         let (d, c, g) = figure2();
         let unread = TagSet::all_unread(5);
-        let best = exact_mwfs_restricted(&c, &g, &unread, &[0, 1, 2], &[]);
+        let input = OneShotInput::new(&d, &c, &g, &unread);
+        let best = exact_mwfs_restricted(&input, &[0, 1, 2], &[]);
         assert_eq!(best, vec![0, 2]);
         assert!(d.is_feasible(&best));
     }
 
     #[test]
     fn base_context_changes_the_optimum() {
-        let (_, c, g) = figure2();
+        let (d, c, g) = figure2();
         let unread = TagSet::all_unread(5);
+        let input = OneShotInput::new(&d, &c, &g, &unread);
         // With B fixed on, adding A and C costs their overlap tags with B:
         // w({A,B,C}) = 3 vs w({B,A}) = 3, w({B,C}) = 3, w({B}) = 3 — all tie;
         // solver may return any subset achieving 3. Just check feasible +
         // weight.
-        let best = exact_mwfs_restricted(&c, &g, &unread, &[0, 2], &[1]);
+        let best = exact_mwfs_restricted(&input, &[0, 2], &[1]);
         let mut whole = best.clone();
         whole.push(1);
         let mut w = WeightEvaluator::new(&c);
@@ -645,11 +628,12 @@ mod tests {
 
     #[test]
     fn adjacent_candidates_to_base_are_dropped() {
-        let (_, c, g) = figure2();
+        let (d, c, g) = figure2();
         // Make readers adjacent by re-using graph from a tighter deployment:
         // here just verify via API: candidates equal to base are filtered.
         let unread = TagSet::all_unread(5);
-        let best = exact_mwfs_restricted(&c, &g, &unread, &[1], &[1]);
+        let input = OneShotInput::new(&d, &c, &g, &unread);
+        let best = exact_mwfs_restricted(&input, &[1], &[1]);
         assert!(best.is_empty());
     }
 
@@ -672,8 +656,9 @@ mod tests {
             let c = Coverage::build(&d);
             let g = interference_graph(&d);
             let unread = TagSet::all_unread(d.n_tags());
+            let input = OneShotInput::new(&d, &c, &g, &unread);
             let all: Vec<usize> = (0..10).collect();
-            let best = exact_mwfs_restricted(&c, &g, &unread, &all, &[]);
+            let best = exact_mwfs_restricted(&input, &all, &[]);
             assert!(d.is_feasible(&best), "seed {seed}");
             let mut w = WeightEvaluator::new(&c);
             let best_w = w.weight(&best, &unread);
@@ -691,9 +676,10 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_is_reported() {
-        let (_, c, g) = figure2();
+        let (d, c, g) = figure2();
         let unread = TagSet::all_unread(5);
-        let (set, complete) = exact_mwfs_budgeted(&c, &g, &unread, &[0, 1, 2], &[], 2);
+        let input = OneShotInput::new(&d, &c, &g, &unread);
+        let (set, complete) = exact_mwfs_budgeted(&input, &[0, 1, 2], &[], 2);
         assert!(!complete);
         // Anytime: whatever came back is feasible.
         assert!(g.is_independent_set(&set));
@@ -701,9 +687,10 @@ mod tests {
 
     #[test]
     fn empty_candidates_yield_empty_set() {
-        let (_, c, g) = figure2();
+        let (d, c, g) = figure2();
         let unread = TagSet::all_unread(5);
-        assert!(exact_mwfs_restricted(&c, &g, &unread, &[], &[]).is_empty());
+        let input = OneShotInput::new(&d, &c, &g, &unread);
+        assert!(exact_mwfs_restricted(&input, &[], &[]).is_empty());
     }
 
     #[test]

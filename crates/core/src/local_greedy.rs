@@ -31,7 +31,7 @@ use crate::arena::{AliveSet, BallScratch, SlotArena};
 use crate::exact::{exact_mwfs_weighted, MwfsScratch, DEFAULT_NODE_BUDGET};
 use crate::scheduler::{OneShotInput, OneShotScheduler};
 use rfid_graph::Csr;
-use rfid_model::{Coverage, ReaderId, TagSet};
+use rfid_model::{singleton_weight, Coverage, ReaderId, TagSet};
 use rfid_obs::{counter, histogram, span};
 
 /// Algorithm 2 configuration plus its cross-call scratch arena.
@@ -124,11 +124,7 @@ pub(crate) fn grow_local_mwfs_in(
     gamma.push(v);
     debug_assert_eq!(
         singleton[v],
-        coverage
-            .tags_of(v)
-            .iter()
-            .filter(|&&t| unread.is_unread(t as usize))
-            .count(),
+        singleton_weight(coverage, v, unread),
         "stale singleton weight for seed {v}"
     );
     let mut cur_w = singleton[v];
@@ -155,7 +151,7 @@ pub(crate) fn grow_local_mwfs_in(
             ball,
             &[],
             DEFAULT_NODE_BUDGET,
-            Some(singleton),
+            singleton,
             next,
         );
         if (next_w as f64) >= rho * cur_w as f64 && next_w > 0 {
@@ -429,8 +425,7 @@ mod tests {
         let g = interference_graph(&d);
         let unread = rfid_model::TagSet::all_unread(d.n_tags());
         let alive = AliveSet::all_alive(d.n_readers());
-        let mut weights = rfid_model::WeightEvaluator::new(&c);
-        let singleton = weights.all_singleton_weights(&unread);
+        let singleton = rfid_model::all_singleton_weights(&c, &unread);
         let v = (0..d.n_readers()).max_by_key(|&v| singleton[v]).unwrap();
         let mut mwfs = MwfsScratch::new(&c, &unread);
         let mut balls = BallScratch::new(d.n_readers());

@@ -7,13 +7,14 @@
 //! Each accepted move strictly increases `w(X)`, so termination is
 //! immediate (`w ≤ m`); the result is 1-add/1-drop/1-swap optimal.
 //!
-//! This is *not* one of the paper's algorithms — it is the ablation knife
-//! used to measure how far each scheduler's output sits from local
-//! optimality (`results/ablation.md`), and an optional `improve = true`
-//! switch for downstream users who can spare the extra milliseconds.
+//! This is *not* one of the paper's algorithms, and no scheduler runs it
+//! on its own output: it is the ablation knife used to measure how far
+//! each scheduler's output sits from local optimality
+//! (`results/ablation.md`), exported as [`improve_schedule`] for callers
+//! who can spare the extra milliseconds.
 
 use crate::scheduler::OneShotInput;
-use rfid_model::{IncrementalWeight, ReaderId};
+use rfid_model::{IncrementalCore, ReaderId};
 use rfid_obs::{counter, span};
 use std::cmp::Reverse;
 
@@ -44,11 +45,12 @@ pub fn improve_schedule(input: &OneShotInput<'_>, start: &[ReaderId]) -> Improve
     let sub = input.subscriber;
     let _span = span!(sub, "local_search.improve");
     let n = input.deployment.n_readers();
-    let graph = input.graph;
-    let mut inc = IncrementalWeight::new(input.coverage, input.unread);
+    let (graph, coverage) = (input.graph, input.coverage);
+    let mut inc = IncrementalCore::new();
+    inc.reset(coverage, input.unread);
     let mut conflicts = vec![0usize; n]; // active neighbours per reader
     for &v in start {
-        inc.add(v);
+        inc.add(coverage, v);
         for &t in graph.neighbors(v) {
             conflicts[t as usize] += 1;
         }
@@ -59,8 +61,8 @@ pub fn improve_schedule(input: &OneShotInput<'_>, start: &[ReaderId]) -> Improve
         let mut improved = false;
         // (a) add
         for v in 0..n {
-            if !inc.is_active(v) && conflicts[v] == 0 && inc.delta_if_added(v) > 0 {
-                inc.add(v);
+            if !inc.is_active(v) && conflicts[v] == 0 && inc.delta_if_added(coverage, v) > 0 {
+                inc.add(coverage, v);
                 for &t in graph.neighbors(v) {
                     conflicts[t as usize] += 1;
                 }
@@ -72,7 +74,7 @@ pub fn improve_schedule(input: &OneShotInput<'_>, start: &[ReaderId]) -> Improve
         // costing more overlap than it contributed exclusively.
         for v in 0..n {
             if inc.is_active(v) {
-                let delta = inc.remove(v);
+                let delta = inc.remove(coverage, v);
                 if delta > 0 {
                     for &t in graph.neighbors(v) {
                         conflicts[t as usize] -= 1;
@@ -80,7 +82,7 @@ pub fn improve_schedule(input: &OneShotInput<'_>, start: &[ReaderId]) -> Improve
                     moves += 1;
                     improved = true;
                 } else {
-                    inc.add(v); // revert
+                    inc.add(coverage, v); // revert
                 }
             }
         }
@@ -94,7 +96,7 @@ pub fn improve_schedule(input: &OneShotInput<'_>, start: &[ReaderId]) -> Improve
                 continue;
             }
             let before = inc.weight();
-            inc.remove(u);
+            inc.remove(coverage, u);
             for &t in graph.neighbors(u) {
                 conflicts[t as usize] -= 1;
             }
@@ -104,11 +106,11 @@ pub fn improve_schedule(input: &OneShotInput<'_>, start: &[ReaderId]) -> Improve
                 // smallest id (first max wins).
                 let best = (0..n)
                     .filter(|&v| v != u && !inc.is_active(v) && conflicts[v] == 0)
-                    .map(|v| (inc.delta_if_added(v), Reverse(v)))
+                    .map(|v| (inc.delta_if_added(coverage, v), Reverse(v)))
                     .filter(|&(delta, _)| delta > 0)
                     .max();
                 let Some((_, Reverse(v))) = best else { break };
-                inc.add(v);
+                inc.add(coverage, v);
                 for &t in graph.neighbors(v) {
                     conflicts[t as usize] += 1;
                 }
@@ -120,12 +122,12 @@ pub fn improve_schedule(input: &OneShotInput<'_>, start: &[ReaderId]) -> Improve
             } else {
                 // revert the repair and the removal
                 for v in added {
-                    inc.remove(v);
+                    inc.remove(coverage, v);
                     for &t in graph.neighbors(v) {
                         conflicts[t as usize] -= 1;
                     }
                 }
-                inc.add(u);
+                inc.add(coverage, u);
                 for &t in graph.neighbors(u) {
                     conflicts[t as usize] += 1;
                 }

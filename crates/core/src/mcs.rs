@@ -351,7 +351,7 @@ pub fn covering_schedule_with(
         .filter(|&t| !coverage.is_coverable(t))
         .collect();
     // Packed coverage rows + per-slot bitplanes: well-covered extraction
-    // popcounts `u64` words instead of walking per-tag coverage counts, and
+    // intersects `u64` words instead of walking per-tag coverage counts, and
     // the planes clear in `O(words touched last slot)`. Built once here and
     // reused for every slot; the warmup allocations are drained into
     // `mcs.alloc` up front so the per-slot histogram shows a flat zero.
@@ -362,8 +362,8 @@ pub fn covering_schedule_with(
     // Cross-slot incremental state: singleton weights are updated per
     // served tag (via `Coverage::readers_of`) instead of rescanned, feed
     // the one-shot schedulers through the input, and back the lazy
-    // fallback queue. Initial values come from row popcounts.
-    let mut singleton = SingletonWeights::from_rows(coverage, &rows, &unread);
+    // fallback queue.
+    let mut singleton = SingletonWeights::new(coverage, &unread);
     // Readers that can still contribute anything, kept current alongside
     // the singleton array (weights only decrease, so `positives` only
     // shrinks — a retain per slot, never a rescan of all n). Passed to the
@@ -498,8 +498,7 @@ pub fn covering_schedule_with(
         // signal that triggers live-row compaction below.
         let retired: usize = served.iter().map(|&t| coverage.readers_of(t).len()).sum();
         counter!(sub, "mcs.singleton_weight_deltas", retired);
-        unread.mark_all_read(&served);
-        singleton.mark_all_read(&served);
+        singleton.mark_all_read(&served, &mut unread);
         positives.retain(|&v| singleton.get(v) > 0);
         retired_incidences += retired;
         if retired_incidences * 2 >= live_incidences {

@@ -86,13 +86,7 @@ impl<'a, 'b> DpSolver<'a, 'b> {
 
         if children.is_empty() {
             // Leaf: exact best D ⊆ own under fixed base `context`.
-            return exact_mwfs_restricted(
-                self.input.coverage,
-                graph,
-                self.input.unread,
-                &own,
-                context,
-            );
+            return exact_mwfs_restricted(self.input, &own, context);
         }
 
         // Internal square: enumerate independent D ⊆ own, |D| ≤ Λ.

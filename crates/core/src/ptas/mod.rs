@@ -38,7 +38,7 @@ pub use survivors::{compute_survivors, SquareTree};
 
 use crate::scheduler::{OneShotInput, OneShotScheduler};
 use rfid_geometry::{LevelAssignment, Shifting};
-use rfid_model::{IncrementalWeight, ReaderId, WeightEvaluator};
+use rfid_model::{IncrementalCore, ReaderId, WeightEvaluator};
 use rfid_obs::{counter, histogram, span};
 
 /// Algorithm 1 configuration.
@@ -133,11 +133,12 @@ impl PtasScheduler {
 /// singleton-weight order; add it when it is independent from the current
 /// set and strictly increases the weight.
 fn augment_greedy(input: &OneShotInput<'_>, x: Vec<ReaderId>) -> Vec<ReaderId> {
-    let singleton = input.singleton_weights();
-    let mut inc = IncrementalWeight::new(input.coverage, input.unread);
+    let (coverage, singleton) = (input.coverage, input.singleton_weights());
+    let mut inc = IncrementalCore::new();
+    inc.reset(coverage, input.unread);
     let mut blocked = vec![false; input.deployment.n_readers()];
     for &v in &x {
-        inc.add(v);
+        inc.add(coverage, v);
         for &t in input.graph.neighbors(v) {
             blocked[t as usize] = true;
         }
@@ -153,8 +154,8 @@ fn augment_greedy(input: &OneShotInput<'_>, x: Vec<ReaderId>) -> Vec<ReaderId> {
         if blocked[v] || inc.is_active(v) {
             continue;
         }
-        if inc.delta_if_added(v) > 0 {
-            inc.add(v);
+        if inc.delta_if_added(coverage, v) > 0 {
+            inc.add(coverage, v);
             for &t in input.graph.neighbors(v) {
                 blocked[t as usize] = true;
             }

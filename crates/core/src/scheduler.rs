@@ -1,7 +1,10 @@
 //! The one-shot scheduler interface shared by all algorithms.
 
 use rfid_graph::Csr;
-use rfid_model::{Coverage, Deployment, ReaderId, TagSet, WeightEvaluator};
+use rfid_model::{
+    all_singleton_weights, singleton_weight, Coverage, Deployment, ReaderId, TagSet,
+    WeightEvaluator,
+};
 use rfid_obs::Subscriber;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -16,7 +19,7 @@ use std::borrow::Cow;
 ///
 /// Every input carries the singleton weights `w({v})` under `unread` and
 /// the ascending list of readers whose weight is positive:
-/// [`new`](Self::new) computes both in one pass, and the covering driver,
+/// [`new`](Self::new) computes both, and the covering driver,
 /// which keeps them current across slots, hands its own through
 /// [`with_weights`](Self::with_weights).
 pub struct OneShotInput<'a> {
@@ -41,9 +44,9 @@ pub struct OneShotInput<'a> {
 }
 
 impl<'a> OneShotInput<'a> {
-    /// An input for `unread`, with its singleton weights and positive
-    /// readers computed by one scan over the coverage rows. The caller is
-    /// responsible for `coverage`/`graph` actually belonging to
+    /// An input for `unread`, with its singleton weights
+    /// ([`all_singleton_weights`]) and positive readers computed here. The
+    /// caller is responsible for `coverage`/`graph` actually belonging to
     /// `deployment` (debug-asserted).
     pub fn new(
         deployment: &'a Deployment,
@@ -51,20 +54,8 @@ impl<'a> OneShotInput<'a> {
         graph: &'a Csr,
         unread: &'a TagSet,
     ) -> Self {
-        let n = coverage.n_readers();
-        let mut singleton = Vec::with_capacity(n);
-        let mut positive = Vec::new();
-        for v in 0..n {
-            let w = coverage
-                .tags_of(v)
-                .iter()
-                .filter(|&&t| unread.is_unread(t as usize))
-                .count();
-            if w > 0 {
-                positive.push(v);
-            }
-            singleton.push(w);
-        }
+        let singleton = all_singleton_weights(coverage, unread);
+        let positive = (0..singleton.len()).filter(|&v| singleton[v] > 0).collect();
         OneShotInput {
             deployment,
             coverage,
@@ -117,7 +108,6 @@ impl<'a> OneShotInput<'a> {
         assert_eq!(self.unread.len(), self.deployment.n_tags());
         let weights = &self.singleton[..];
         assert_eq!(weights.len(), n);
-        let mut eval = WeightEvaluator::new(self.coverage);
         let mut state = (n as u64)
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add(weights.iter().take(16).sum::<usize>() as u64);
@@ -129,7 +119,7 @@ impl<'a> OneShotInput<'a> {
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
             z ^= z >> 31;
             let v = (z % n as u64) as usize;
-            let expect = eval.singleton_weight(v, self.unread);
+            let expect = singleton_weight(self.coverage, v, self.unread);
             assert_eq!(weights[v], expect, "stale singleton weight for reader {v}");
         }
         assert!(

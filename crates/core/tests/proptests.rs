@@ -11,7 +11,8 @@ use rfid_core::{
 use rfid_geometry::{Point, Rect};
 use rfid_model::interference::interference_graph;
 use rfid_model::{
-    Coverage, Deployment, IncrementalCore, ReaderId, Scenario, TagSet, WeightEvaluator,
+    singleton_weight, Coverage, Deployment, IncrementalCore, ReaderId, Scenario, TagSet,
+    WeightEvaluator,
 };
 use std::cmp::Reverse;
 
@@ -173,8 +174,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// `OneShotInput::new` computes exactly the singleton weights of the
-    /// reference evaluator, and lists exactly its positive readers.
+    /// `OneShotInput::new` computes exactly the singleton weights of a
+    /// reference count taken from the geometry (`Deployment::covers`) on
+    /// partly read sets, and lists exactly its positive readers.
     #[test]
     fn input_weights_match_the_evaluator(
         d in arb_wild_deployment(),
@@ -187,7 +189,9 @@ proptest! {
             unread.mark_read(t % d.n_tags());
         }
         let input = OneShotInput::new(&d, &c, &g, &unread);
-        let expect = WeightEvaluator::new(&c).all_singleton_weights(&unread);
+        let expect: Vec<usize> = (0..d.n_readers())
+            .map(|v| (0..d.n_tags()).filter(|&t| d.covers(v, t) && unread.is_unread(t)).count())
+            .collect();
         prop_assert_eq!(input.singleton_weights(), expect.as_slice());
         let positive: Vec<ReaderId> = (0..expect.len()).filter(|&v| expect[v] > 0).collect();
         prop_assert_eq!(input.positive_readers(), positive.as_slice());
@@ -213,17 +217,18 @@ proptest! {
         let c = Coverage::build(&d);
         let g = interference_graph(&d);
         let unread = TagSet::all_unread(d.n_tags());
+        let input = OneShotInput::new(&d, &c, &g, &unread);
         let all: Vec<usize> = (0..d.n_readers()).collect();
-        let best = exact_mwfs_restricted(&c, &g, &unread, &all, &[]);
+        let best = exact_mwfs_restricted(&input, &all, &[]);
         let mut w = WeightEvaluator::new(&c);
         let best_w = w.weight(&best, &unread);
         let max_singleton = (0..d.n_readers())
-            .map(|v| w.singleton_weight(v, &unread))
+            .map(|v| singleton_weight(&c, v, &unread))
             .max()
             .unwrap_or(0);
         prop_assert!(best_w >= max_singleton, "optimum at least the best singleton");
         let singleton_total: usize = (0..d.n_readers())
-            .map(|v| w.singleton_weight(v, &unread))
+            .map(|v| singleton_weight(&c, v, &unread))
             .sum();
         prop_assert!(best_w <= singleton_total);
     }
@@ -258,13 +263,14 @@ proptest! {
         let c = Coverage::build(&d);
         let g = interference_graph(&d);
         let unread = TagSet::all_unread(d.n_tags());
+        let input = OneShotInput::new(&d, &c, &g, &unread);
         let mut w = WeightEvaluator::new(&c);
         // base = heaviest reader alone
         let base_v = (0..d.n_readers())
-            .max_by_key(|&v| w.singleton_weight(v, &unread))
+            .max_by_key(|&v| singleton_weight(&c, v, &unread))
             .unwrap();
         let candidates: Vec<usize> = (0..d.n_readers()).filter(|&v| v != base_v).collect();
-        let extra = exact_mwfs_restricted(&c, &g, &unread, &candidates, &[base_v]);
+        let extra = exact_mwfs_restricted(&input, &candidates, &[base_v]);
         let mut union = extra.clone();
         union.push(base_v);
         prop_assert!(g.is_independent_set(&union));

@@ -1,135 +1,26 @@
-//! Packed-bitset coverage rows and exactly-once bitplanes (DESIGN.md §11).
+//! Packed-bitset coverage rows and exactly-once bitplanes (DESIGN.md §11):
+//! how a covering schedule extracts the tags each slot serves.
 //!
-//! The scoring hot path of every covering-schedule driver asks two
-//! questions per slot: *how many unread tags does this activation cover
-//! exactly once* (`w(X)`), and *which ones* (the well-covered set). The
-//! `Vec`-walking reference answers both one incidence at a time;
-//! this module answers them a cache line at a time:
+//! Once a slot's activation is chosen, the tags it serves are the unread
+//! tags it covers exactly once (the well-covered set).
+//! [`crate::WeightEvaluator::well_covered`] finds them one incidence at
+//! a time; this module finds them 64 tags at a time:
 //!
 //! * [`CoverageRows`] stores each reader's tag list as sparse
 //!   `(word, mask)` pairs over the tag bit-space — the same information as
 //!   [`Coverage::tags_of`], pre-packed for 64-tag-wide intersection.
-//! * [`PlaneScratch`] maintains two dense bitplanes over the tag space:
+//! * [`PlaneScratch`] maintains two bitplanes over the tag space:
 //!   `ge1` (covered by ≥ 1 active reader) and `ge2` (covered by ≥ 2).
-//!   Exactly-once coverage is `ge1 & !ge2`, so `w(X)` is a popcount and
-//!   the well-covered set falls out of the planes in ascending tag order
-//!   with no sort.
+//!   Exactly-once coverage is `ge1 & !ge2`, so the well-covered set falls
+//!   out of the planes in ascending tag order with no sort.
 //!
-//! Every operation is defined to be *bit-identical* to the eager
-//! `Vec`-based evaluators in [`crate::weight`]; the differential suite in
-//! `tests/perf_equivalence.rs` pins that equivalence.
+//! Extraction is defined to equal [`crate::WeightEvaluator::well_covered`]
+//! tag for tag; the differential suite in `tests/perf_equivalence.rs` pins
+//! that equivalence.
 
 use crate::coverage::Coverage;
 use crate::reader::ReaderId;
-use crate::tag::{TagId, TagSet};
-
-/// A `u64` buffer whose storage starts on a 64-byte boundary, so a plane
-/// never straddles an extra cache line and the popcount loops stream
-/// aligned words. This is the alignment contract arena slabs and bitplanes
-/// share (DESIGN.md §11).
-pub struct AlignedWords {
-    ptr: std::ptr::NonNull<u64>,
-    len: usize,
-}
-
-/// Cache-line size in bytes; slab and plane storage is aligned to this.
-pub const CACHE_LINE: usize = 64;
-
-impl AlignedWords {
-    /// An empty buffer (no allocation).
-    pub fn new() -> Self {
-        AlignedWords {
-            ptr: std::ptr::NonNull::dangling(),
-            len: 0,
-        }
-    }
-
-    /// A zeroed buffer of `len` words.
-    pub fn zeroed(len: usize) -> Self {
-        let mut w = AlignedWords::new();
-        w.reset_zeroed(len);
-        w
-    }
-
-    fn layout(len: usize) -> std::alloc::Layout {
-        std::alloc::Layout::from_size_align(len * 8, CACHE_LINE).expect("aligned words layout")
-    }
-
-    /// Resizes to exactly `len` zeroed words, reallocating only when the
-    /// length changes. Returns `true` when a fresh heap allocation was
-    /// made (the arena's alloc-event signal).
-    pub fn reset_zeroed(&mut self, len: usize) -> bool {
-        if len == self.len {
-            self.fill(0);
-            return false;
-        }
-        self.release();
-        if len > 0 {
-            // SAFETY: layout has non-zero size; alloc_zeroed returns
-            // CACHE_LINE-aligned memory or null (handled below).
-            let raw = unsafe { std::alloc::alloc_zeroed(Self::layout(len)) };
-            self.ptr = std::ptr::NonNull::new(raw as *mut u64)
-                .unwrap_or_else(|| std::alloc::handle_alloc_error(Self::layout(len)));
-            self.len = len;
-            return true;
-        }
-        false
-    }
-
-    fn release(&mut self) {
-        if self.len > 0 {
-            // SAFETY: ptr was allocated with exactly this layout.
-            unsafe { std::alloc::dealloc(self.ptr.as_ptr() as *mut u8, Self::layout(self.len)) };
-            self.ptr = std::ptr::NonNull::dangling();
-            self.len = 0;
-        }
-    }
-}
-
-impl Drop for AlignedWords {
-    fn drop(&mut self) {
-        self.release();
-    }
-}
-
-impl Clone for AlignedWords {
-    fn clone(&self) -> Self {
-        let mut c = AlignedWords::zeroed(self.len);
-        c.copy_from_slice(self);
-        c
-    }
-}
-
-impl std::ops::Deref for AlignedWords {
-    type Target = [u64];
-    fn deref(&self) -> &[u64] {
-        // SAFETY: ptr/len describe a live allocation (or len == 0).
-        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
-    }
-}
-
-impl std::ops::DerefMut for AlignedWords {
-    fn deref_mut(&mut self) -> &mut [u64] {
-        // SAFETY: as above, and we hold &mut self.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
-    }
-}
-
-impl std::fmt::Debug for AlignedWords {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "AlignedWords({} words)", self.len)
-    }
-}
-
-impl Default for AlignedWords {
-    fn default() -> Self {
-        AlignedWords::new()
-    }
-}
-
-// SAFETY: AlignedWords owns its allocation exclusively, like Vec<u64>.
-unsafe impl Send for AlignedWords {}
-unsafe impl Sync for AlignedWords {}
+use crate::tag::TagId;
 
 /// Per-reader coverage packed as sparse `(word, mask)` pairs over the tag
 /// bit-space, in ascending word order (rows inherit the sort of
@@ -200,25 +91,6 @@ impl CoverageRows {
             .map(|(&w, &m)| (w as usize, m))
     }
 
-    /// `w({v})` by popcount: unread tags in `v`'s interrogation region.
-    /// `unread` is the packed word view of the unread [`TagSet`]
-    /// ([`TagSet::words`]).
-    #[inline]
-    pub fn singleton_weight(&self, v: ReaderId, unread: &[u64]) -> usize {
-        self.row(v)
-            .map(|(w, m)| (m & unread[w]).count_ones() as usize)
-            .sum()
-    }
-
-    /// All singleton weights, indexed by reader — the popcount form of
-    /// [`crate::WeightEvaluator::all_singleton_weights`].
-    pub fn all_singleton_weights(&self, unread: &TagSet) -> Vec<usize> {
-        let words = unread.words();
-        (0..self.n_readers())
-            .map(|v| self.singleton_weight(v, words))
-            .collect()
-    }
-
     /// Total tag incidences across all rows (sum of mask popcounts).
     pub fn incidences(&self) -> usize {
         self.mask.iter().map(|m| m.count_ones() as usize).sum()
@@ -266,8 +138,8 @@ impl CoverageRows {
 /// O(tag words): a cheap fallback slot stays cheap even at n = 100k.
 #[derive(Debug, Clone, Default)]
 pub struct PlaneScratch {
-    ge1: AlignedWords,
-    ge2: AlignedWords,
+    ge1: Vec<u64>,
+    ge2: Vec<u64>,
     /// Words with at least one `ge1` bit, in first-touch order, unique.
     /// Meaningful only while `dense` is false.
     touched: Vec<u32>,
@@ -290,8 +162,9 @@ impl PlaneScratch {
     /// Reallocation happens only when the word count changes.
     pub fn ensure(&mut self, n_words: usize) {
         if self.ge1.len() != n_words {
-            self.allocs += self.ge1.reset_zeroed(n_words) as u64;
-            self.allocs += self.ge2.reset_zeroed(n_words) as u64;
+            self.ge1 = vec![0; n_words];
+            self.ge2 = vec![0; n_words];
+            self.allocs += 2;
             self.touched.clear();
             self.dense = false;
         } else {
@@ -363,50 +236,6 @@ impl PlaneScratch {
         }
     }
 
-    /// Read access to the raw `(ge1, ge2)` planes, for comparing two
-    /// scratches word for word.
-    pub fn planes(&self) -> (&[u64], &[u64]) {
-        (&self.ge1, &self.ge2)
-    }
-
-    /// Switches to dense mode explicitly, as a heavy
-    /// [`add_all`](Self::add_all) would: adds stop tracking touched
-    /// words and the next clear memsets the whole planes.
-    pub fn make_dense(&mut self) {
-        self.dense = true;
-        self.touched.clear();
-    }
-
-    /// `w(X)` of the added set against `unread` words, by popcount.
-    pub fn weight(&self, unread: &[u64]) -> usize {
-        if self.dense {
-            return (0..self.ge1.len())
-                .map(|w| (self.ge1[w] & !self.ge2[w] & unread[w]).count_ones() as usize)
-                .sum();
-        }
-        self.touched
-            .iter()
-            .map(|&w| {
-                let w = w as usize;
-                (self.ge1[w] & !self.ge2[w] & unread[w]).count_ones() as usize
-            })
-            .sum()
-    }
-
-    /// The popcount well-covered delta of adding `v` to the current
-    /// planes, without committing: tags `v` would newly cover exactly once
-    /// minus tags it would demote from exactly-once to twice-covered.
-    /// Matches [`crate::IncrementalWeight::delta_if_added`] bit for bit.
-    pub fn delta_if_added(&self, rows: &CoverageRows, v: ReaderId, unread: &[u64]) -> isize {
-        let mut delta = 0isize;
-        for (w, m) in rows.row(v) {
-            let live = m & unread[w];
-            delta += (live & !self.ge1[w]).count_ones() as isize;
-            delta -= (live & self.ge1[w] & !self.ge2[w]).count_ones() as isize;
-        }
-        delta
-    }
-
     /// Appends the well-covered tags (exactly-once covered and unread) to
     /// `out` (cleared first), ascending — the planes yield them in natural
     /// order, no sort.
@@ -448,7 +277,8 @@ mod tests {
     use super::*;
     use crate::radii::RadiusModel;
     use crate::scenario::{Scenario, ScenarioKind};
-    use crate::weight::{IncrementalWeight, WeightEvaluator};
+    use crate::tag::TagSet;
+    use crate::weight::WeightEvaluator;
 
     fn random_instance(seed: u64) -> (Coverage, TagSet) {
         let d = Scenario {
@@ -470,6 +300,12 @@ mod tests {
             unread.mark_read(t);
         }
         (c, unread)
+    }
+
+    fn extract(planes: &mut PlaneScratch, unread: &TagSet) -> Vec<TagId> {
+        let mut out = Vec::new();
+        planes.well_covered_into(unread.words(), &mut out);
+        out
     }
 
     #[test]
@@ -500,20 +336,6 @@ mod tests {
     }
 
     #[test]
-    fn popcount_singletons_match_evaluator() {
-        for seed in 0..4 {
-            let (c, unread) = random_instance(seed);
-            let rows = CoverageRows::build(&c);
-            let mut eval = WeightEvaluator::new(&c);
-            assert_eq!(
-                rows.all_singleton_weights(&unread),
-                eval.all_singleton_weights(&unread),
-                "seed {seed}"
-            );
-        }
-    }
-
-    #[test]
     fn planes_match_batch_weight_and_well_covered() {
         for seed in 0..4 {
             let (c, unread) = random_instance(seed);
@@ -525,34 +347,9 @@ mod tests {
             for &v in &set {
                 planes.add(&rows, v);
             }
-            assert_eq!(
-                planes.weight(unread.words()),
-                eval.weight(&set, &unread),
-                "seed {seed}"
-            );
-            let mut got = Vec::new();
-            planes.well_covered_into(unread.words(), &mut got);
-            assert_eq!(got, eval.well_covered(&set, &unread), "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn plane_delta_matches_incremental() {
-        for seed in 0..4 {
-            let (c, unread) = random_instance(seed);
-            let rows = CoverageRows::build(&c);
-            let mut planes = PlaneScratch::new();
-            planes.ensure(rows.n_words());
-            let mut inc = IncrementalWeight::new(&c, &unread);
-            for v in (0..c.n_readers()).step_by(3) {
-                assert_eq!(
-                    planes.delta_if_added(&rows, v, unread.words()),
-                    inc.delta_if_added(v),
-                    "seed {seed} reader {v}"
-                );
-                planes.add(&rows, v);
-                inc.add(v);
-            }
+            let served = extract(&mut planes, &unread);
+            assert_eq!(served, eval.well_covered(&set, &unread), "seed {seed}");
+            assert_eq!(served.len(), eval.weight(&set, &unread), "seed {seed}");
         }
     }
 
@@ -565,14 +362,25 @@ mod tests {
         planes.add(&rows, 0);
         planes.add(&rows, 1);
         planes.clear();
-        assert_eq!(planes.weight(unread.words()), 0);
         let mut out = vec![99];
         planes.well_covered_into(unread.words(), &mut out);
         assert!(out.is_empty());
-        // Reusable after clear: same answer as a fresh scratch.
-        planes.add(&rows, 3);
+        // Reusable after clear: same answer as a fresh scratch, for one
+        // reader and for every reader at once (which extracts densely, so
+        // a word the clear missed would show).
         let mut eval = WeightEvaluator::new(&c);
-        assert_eq!(planes.weight(unread.words()), eval.weight(&[3], &unread));
+        planes.add(&rows, 3);
+        assert_eq!(
+            extract(&mut planes, &unread),
+            eval.well_covered(&[3], &unread)
+        );
+        planes.clear();
+        let all: Vec<ReaderId> = (0..c.n_readers()).collect();
+        planes.add_all(&rows, &all);
+        assert_eq!(
+            extract(&mut planes, &unread),
+            eval.well_covered(&all, &unread)
+        );
     }
 
     #[test]
@@ -584,15 +392,5 @@ mod tests {
         assert_eq!(planes.take_allocs(), 0);
         planes.ensure(16);
         assert_eq!(planes.take_allocs(), 2);
-    }
-
-    #[test]
-    fn aligned_words_contract() {
-        let w = AlignedWords::zeroed(11);
-        assert_eq!(w.len(), 11);
-        assert_eq!(w.as_ptr() as usize % CACHE_LINE, 0);
-        assert!(w.iter().all(|&x| x == 0));
-        let empty = AlignedWords::new();
-        assert!(empty.is_empty());
     }
 }

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! # rfid-model
 //!
@@ -14,8 +15,9 @@
 //! * the **coverage tables** (`coverage`) — which readers can interrogate
 //!   which tags;
 //! * the **weight function** `w(X)` (`weight`) — the number of unread tags
-//!   covered by *exactly one* reader of an activation `X`, with both batch
-//!   and incremental evaluation;
+//!   covered by *exactly one* reader of an activation `X`: one
+//!   singleton-weight function, one batch evaluator and one incremental
+//!   engine;
 //! * the **collision audit** (`collisions`) — classifies RTc/RRc/TTc events
 //!   of an arbitrary (possibly infeasible) activation, used to verify that
 //!   schedulers never violate the model;
@@ -37,7 +39,7 @@ pub mod tag;
 pub mod weight;
 
 pub use analysis::{deployment_stats, DeploymentStats};
-pub use bits::{AlignedWords, CoverageRows, PlaneScratch, CACHE_LINE};
+pub use bits::{CoverageRows, PlaneScratch};
 pub use collisions::{audit_activation, ActivationAudit};
 pub use coverage::Coverage;
 pub use deployment::Deployment;
@@ -47,5 +49,5 @@ pub use scenario::{Scenario, ScenarioKind};
 pub use survey::{survey_impact, surveyed_interference_graph, SurveyError, SurveyImpact};
 pub use tag::{TagId, TagSet};
 pub use weight::{
-    EvalScratch, IncrementalCore, IncrementalWeight, SingletonWeights, WeightEvaluator,
+    all_singleton_weights, singleton_weight, IncrementalCore, SingletonWeights, WeightEvaluator,
 };

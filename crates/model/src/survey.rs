@@ -217,9 +217,8 @@ mod tests {
         // singleton-weight order that the *surveyed* graph calls
         // independent.
         let schedule_with = |g: &Csr| -> Vec<usize> {
-            let mut w = crate::WeightEvaluator::new(&c);
             let mut order: Vec<usize> = (0..d.n_readers()).collect();
-            order.sort_by_key(|&v| std::cmp::Reverse(w.singleton_weight(v, &unread)));
+            order.sort_by_key(|&v| std::cmp::Reverse(crate::singleton_weight(&c, v, &unread)));
             let mut x: Vec<usize> = Vec::new();
             for v in order {
                 if x.iter().all(|&u| !g.has_edge(u, v)) {

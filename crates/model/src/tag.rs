@@ -11,8 +11,8 @@ pub type TagId = usize;
 /// the set of unread tags; a served tag "leaves the system". `TagSet` packs
 /// membership into `u64` words with a cached count, so `w(X)` evaluation
 /// and the MCS termination test are O(1) per membership query, and the
-/// bitset hot path ([`crate::bits`]) can intersect whole cache lines of
-/// coverage against [`words`](Self::words) with popcounts.
+/// bitset extraction path ([`crate::bits`]) can intersect 64 tags of
+/// coverage at a time against [`words`](Self::words).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TagSet {
     /// Bit `t % 64` of `words[t / 64]` is set iff tag `t` is unread; bits

@@ -1,4 +1,5 @@
-//! The weight function `w(X)` (paper Definition 3) — batch and incremental.
+//! The weight function `w(X)` (paper Definition 3): one singleton-weight
+//! function, one batch evaluator and one incremental engine.
 //!
 //! For a *feasible* scheduling set `X`, `w(X)` is the number of unread tags
 //! located in the interrogation region of **exactly one** reader of `X`:
@@ -7,110 +8,48 @@
 //! `w(X₁ ∪ X₂) ≤ w(X₁) + w(X₂)` — which is exactly what makes the paper's
 //! MWFS search harder than classic maximum-weight independent set.
 //!
-//! [`WeightEvaluator`] scores a whole set in `O(Σ_{v∈X} |tags(v)|)` with a
-//! stamped scratch array (no per-call allocation); [`IncrementalWeight`]
-//! maintains an active set under add/remove/peek in `O(|tags(v)|)` per
-//! operation, which is what the Greedy Hill-Climbing baseline and the local
-//! searches in Algorithms 1–3 iterate on.
-//!
-//! Both evaluators are thin borrows over unborrowed cores
-//! ([`EvalScratch`], [`IncrementalCore`]) so long-lived scheduler scratch
-//! can persist across slots without a coverage lifetime: a core's
-//! [`IncrementalCore::reset`] re-snapshots the unread set as a packed-word
-//! memcpy plus a stamp bump — `O(n_tags / 64)`, not `O(n_tags)` — which is
-//! what keeps per-slot setup flat on the n = 100k scaling legs.
+//! * [`singleton_weight`] (and [`all_singleton_weights`] for every reader)
+//!   is `w({v})`: the seed order of Algorithms 2/3, the exact search's
+//!   bound keys and the greedy baselines' first gains.
+//! * [`WeightEvaluator`] scores a whole set in `O(Σ_{v∈X} |tags(v)|)` with
+//!   a stamped scratch array (no per-call allocation).
+//! * [`IncrementalCore`] maintains an active set under add/remove/peek in
+//!   `O(|tags(v)|)` per operation, which is what the Greedy Hill-Climbing
+//!   baseline, the PTAS augmentation, the local search and the exact
+//!   branch and bound iterate on. It borrows nothing — every call takes
+//!   the coverage table — so scheduler scratch persists across slots, and
+//!   [`IncrementalCore::reset`] re-snapshots the unread set as a
+//!   packed-word memcpy plus a stamp bump: `O(n_tags / 64)`, not
+//!   `O(n_tags)`, which keeps per-slot setup flat on the n = 100k legs.
+//! * [`SingletonWeights`] keeps every `w({v})` current across the slots of
+//!   a covering schedule.
 
 use crate::coverage::Coverage;
 use crate::reader::ReaderId;
 use crate::tag::{TagId, TagSet};
 
-/// Unborrowed scratch behind [`WeightEvaluator`]: per-tag cover counts
-/// with stamp invalidation, so consecutive evaluations of different sets
-/// never pay a clear. Every method takes the coverage table explicitly;
-/// persistent scheduler state stores this core and borrows coverage per
-/// call.
-#[derive(Debug, Clone, Default)]
-pub struct EvalScratch {
-    /// Per-tag cover count for the set being evaluated, valid where
-    /// `stamp_of[t] == stamp`.
-    counts: Vec<u32>,
-    stamp_of: Vec<u64>,
-    stamp: u64,
+/// `w({v})`: every unread tag in `v`'s interrogation region.
+pub fn singleton_weight(coverage: &Coverage, v: ReaderId, unread: &TagSet) -> usize {
+    coverage
+        .tags_of(v)
+        .iter()
+        .filter(|&&t| unread.is_unread(t as usize))
+        .count()
 }
 
-impl EvalScratch {
-    /// Scratch sized for `n_tags` tags.
-    pub fn new(n_tags: usize) -> Self {
-        EvalScratch {
-            counts: vec![0; n_tags],
-            stamp_of: vec![0; n_tags],
-            stamp: 0,
-        }
-    }
-
-    #[inline]
-    fn bump(&mut self, t: usize) -> u32 {
-        if self.stamp_of[t] != self.stamp {
-            self.stamp_of[t] = self.stamp;
-            self.counts[t] = 1;
-        } else {
-            self.counts[t] += 1;
-        }
-        self.counts[t]
-    }
-
-    /// `w(X)` for a feasible set `X` against the given unread set — see
-    /// [`WeightEvaluator::weight`] for the contract.
-    pub fn weight(&mut self, coverage: &Coverage, set: &[ReaderId], unread: &TagSet) -> usize {
-        self.stamp += 1;
-        let mut exactly_once = 0usize;
-        for &v in set {
-            for &t in coverage.tags_of(v) {
-                let t = t as usize;
-                if !unread.is_unread(t) {
-                    continue;
-                }
-                match self.bump(t) {
-                    1 => exactly_once += 1,
-                    2 => exactly_once -= 1,
-                    _ => {}
-                }
-            }
-        }
-        exactly_once
-    }
-
-    /// The well-covered tags of a feasible set, sorted ascending — see
-    /// [`WeightEvaluator::well_covered`].
-    pub fn well_covered(
-        &mut self,
-        coverage: &Coverage,
-        set: &[ReaderId],
-        unread: &TagSet,
-    ) -> Vec<TagId> {
-        self.stamp += 1;
-        let mut candidates: Vec<TagId> = Vec::new();
-        for &v in set {
-            for &t in coverage.tags_of(v) {
-                let t = t as usize;
-                if !unread.is_unread(t) {
-                    continue;
-                }
-                if self.bump(t) == 1 {
-                    candidates.push(t);
-                }
-            }
-        }
-        candidates.retain(|&t| self.counts[t] == 1 && self.stamp_of[t] == self.stamp);
-        candidates.sort_unstable();
-        candidates
-    }
+/// [`singleton_weight`] of every reader, indexed by reader id.
+pub fn all_singleton_weights(coverage: &Coverage, unread: &TagSet) -> Vec<usize> {
+    (0..coverage.n_readers())
+        .map(|v| singleton_weight(coverage, v, unread))
+        .collect()
 }
 
 /// Batch evaluator for `w(X)` over a fixed coverage table.
 ///
 /// Reusable: allocate once per (deployment, thread), call
-/// [`weight`](Self::weight) many times.
+/// [`weight`](Self::weight) many times. Per-tag cover counts are
+/// stamp-invalidated, so consecutive evaluations of different sets never
+/// pay a clear.
 ///
 /// ```
 /// use rfid_model::{Coverage, Scenario, TagSet, WeightEvaluator};
@@ -126,7 +65,11 @@ impl EvalScratch {
 #[derive(Debug, Clone)]
 pub struct WeightEvaluator<'a> {
     coverage: &'a Coverage,
-    core: EvalScratch,
+    /// Per-tag cover count for the set being evaluated, valid where
+    /// `stamp_of[t] == stamp`.
+    counts: Vec<u32>,
+    stamp_of: Vec<u64>,
+    stamp: u64,
 }
 
 impl<'a> WeightEvaluator<'a> {
@@ -134,8 +77,21 @@ impl<'a> WeightEvaluator<'a> {
     pub fn new(coverage: &'a Coverage) -> Self {
         WeightEvaluator {
             coverage,
-            core: EvalScratch::new(coverage.n_tags()),
+            counts: vec![0; coverage.n_tags()],
+            stamp_of: vec![0; coverage.n_tags()],
+            stamp: 0,
         }
+    }
+
+    #[inline]
+    fn bump(&mut self, t: usize) -> u32 {
+        if self.stamp_of[t] != self.stamp {
+            self.stamp_of[t] = self.stamp;
+            self.counts[t] = 1;
+        } else {
+            self.counts[t] += 1;
+        }
+        self.counts[t]
     }
 
     /// `w(X)` for a feasible set `X` against the given unread set.
@@ -145,30 +101,40 @@ impl<'a> WeightEvaluator<'a> {
     /// exactly-once-covered count, but that number is not Definition 3's
     /// weight (see `crate::collisions` for the general Definition 1 audit).
     pub fn weight(&mut self, set: &[ReaderId], unread: &TagSet) -> usize {
-        self.core.weight(self.coverage, set, unread)
+        self.stamp += 1;
+        let mut exactly_once = 0usize;
+        for &v in set {
+            for &t in self.coverage.tags_of(v) {
+                let t = t as usize;
+                if !unread.is_unread(t) {
+                    continue;
+                }
+                match self.bump(t) {
+                    1 => exactly_once += 1,
+                    2 => exactly_once -= 1,
+                    _ => {}
+                }
+            }
+        }
+        exactly_once
     }
 
     /// The well-covered tags of a feasible set: unread tags covered by
     /// exactly one reader of `X`. Sorted ascending.
     pub fn well_covered(&mut self, set: &[ReaderId], unread: &TagSet) -> Vec<TagId> {
-        self.core.well_covered(self.coverage, set, unread)
-    }
-
-    /// `w({v})`: every unread tag in `v`'s interrogation region.
-    pub fn singleton_weight(&mut self, v: ReaderId, unread: &TagSet) -> usize {
-        self.coverage
-            .tags_of(v)
-            .iter()
-            .filter(|&&t| unread.is_unread(t as usize))
-            .count()
-    }
-
-    /// Per-reader singleton weights (the initial node weights of
-    /// Algorithms 2/3 and Colorwave's tie-breakers).
-    pub fn all_singleton_weights(&mut self, unread: &TagSet) -> Vec<usize> {
-        (0..self.coverage.n_readers())
-            .map(|v| self.singleton_weight(v, unread))
-            .collect()
+        self.stamp += 1;
+        let mut candidates: Vec<TagId> = Vec::new();
+        for &v in set {
+            for &t in self.coverage.tags_of(v) {
+                let t = t as usize;
+                if unread.is_unread(t) && self.bump(t) == 1 {
+                    candidates.push(t);
+                }
+            }
+        }
+        candidates.retain(|&t| self.counts[t] == 1);
+        candidates.sort_unstable();
+        candidates
     }
 }
 
@@ -186,47 +152,15 @@ impl<'a> WeightEvaluator<'a> {
 pub struct SingletonWeights<'a> {
     coverage: &'a Coverage,
     weights: Vec<usize>,
-    /// Tags already discounted, so repeated marks are idempotent (the
-    /// driver's `TagSet` has the same contract).
-    read: Vec<bool>,
 }
 
 impl<'a> SingletonWeights<'a> {
-    /// Full computation from the current unread set —
+    /// [`all_singleton_weights`] under the current unread set —
     /// `O(Σ_v |tags(v)|)`, done once per covering schedule.
     pub fn new(coverage: &'a Coverage, unread: &TagSet) -> Self {
-        let weights = (0..coverage.n_readers())
-            .map(|v| {
-                coverage
-                    .tags_of(v)
-                    .iter()
-                    .filter(|&&t| unread.is_unread(t as usize))
-                    .count()
-            })
-            .collect();
-        Self::with_weights(coverage, unread, weights)
-    }
-
-    /// As [`new`](Self::new), but computes the initial weights by
-    /// popcounting packed coverage rows against the unread words —
-    /// `O(row words)` instead of `O(incidences)`, same values.
-    pub fn from_rows(
-        coverage: &'a Coverage,
-        rows: &crate::bits::CoverageRows,
-        unread: &TagSet,
-    ) -> Self {
-        debug_assert_eq!(rows.n_readers(), coverage.n_readers());
-        Self::with_weights(coverage, unread, rows.all_singleton_weights(unread))
-    }
-
-    fn with_weights(coverage: &'a Coverage, unread: &TagSet, weights: Vec<usize>) -> Self {
-        let read = (0..coverage.n_tags())
-            .map(|t| !unread.is_unread(t))
-            .collect();
         SingletonWeights {
             coverage,
-            weights,
-            read,
+            weights: all_singleton_weights(coverage, unread),
         }
     }
 
@@ -247,32 +181,32 @@ impl<'a> SingletonWeights<'a> {
         self.weights.len()
     }
 
-    /// Discounts tag `t` from every reader covering it (idempotent).
-    pub fn mark_read(&mut self, t: TagId) {
-        if self.read[t] {
-            return;
-        }
-        self.read[t] = true;
-        for &v in self.coverage.readers_of(t) {
-            self.weights[v as usize] -= 1;
-        }
-    }
-
-    /// Discounts a batch of tags — the per-slot delta update.
-    pub fn mark_all_read(&mut self, tags: &[TagId]) {
+    /// Marks `tags` read in `unread` — the set these weights were built
+    /// from — and discounts each tag that was still unread from every
+    /// reader covering it: the per-slot delta update. `unread` is the one
+    /// record of what is read, so marking a tag twice is a no-op, as it is
+    /// for [`TagSet::mark_read`].
+    pub fn mark_all_read(&mut self, tags: &[TagId], unread: &mut TagSet) {
         for &t in tags {
-            self.mark_read(t);
+            if unread.is_unread(t) {
+                unread.mark_read(t);
+                for &v in self.coverage.readers_of(t) {
+                    self.weights[v as usize] -= 1;
+                }
+            }
         }
     }
 }
 
-/// Unborrowed core behind [`IncrementalWeight`]: `w(active)` under reader
-/// add/remove against a packed snapshot of the unread set.
+/// `w(active)` under reader add/remove against a packed snapshot of the
+/// unread set; every call takes the coverage table the core was reset
+/// against.
 ///
 /// Designed for cross-slot reuse: [`reset`](Self::reset) costs a word
 /// memcpy of the unread snapshot plus `O(active)` teardown — counts are
 /// stamp-invalidated, never cleared. One warm core serves every slot of a
-/// covering schedule with zero allocations.
+/// covering schedule with zero allocations. Mutating the `TagSet` after a
+/// reset does not reach the snapshot; reset again to pick it up.
 #[derive(Debug, Clone, Default)]
 pub struct IncrementalCore {
     /// Packed unread snapshot (same layout as [`TagSet::words`]).
@@ -361,16 +295,8 @@ impl IncrementalCore {
         self.active[v]
     }
 
-    /// `w({v})` against the snapshotted unread set.
-    pub fn singleton_weight(&self, coverage: &Coverage, v: ReaderId) -> usize {
-        coverage
-            .tags_of(v)
-            .iter()
-            .filter(|&&t| self.is_unread(t as usize))
-            .count()
-    }
-
-    /// Weight change if `v` were added, without committing.
+    /// Weight change if `v` were added, without committing. On an empty
+    /// active set this is `w({v})` under the snapshot.
     pub fn delta_if_added(&self, coverage: &Coverage, v: ReaderId) -> isize {
         debug_assert!(!self.active[v], "delta_if_added on active reader {v}");
         let mut delta = 0isize;
@@ -459,67 +385,6 @@ impl IncrementalCore {
     }
 }
 
-/// Incrementally maintained `w(active)` under reader add/remove.
-///
-/// The unread set is fixed at construction ([`IncrementalWeight::new`]) or
-/// [`reset`](Self::reset); mutating the `TagSet` mid-stream invalidates the
-/// cached weight.
-#[derive(Debug, Clone)]
-pub struct IncrementalWeight<'a> {
-    coverage: &'a Coverage,
-    core: IncrementalCore,
-}
-
-impl<'a> IncrementalWeight<'a> {
-    /// Starts with an empty active set.
-    pub fn new(coverage: &'a Coverage, unread: &TagSet) -> Self {
-        let mut core = IncrementalCore::new();
-        core.reset(coverage, unread);
-        IncrementalWeight { coverage, core }
-    }
-
-    /// Clears the active set and re-snapshots the unread tags.
-    pub fn reset(&mut self, unread: &TagSet) {
-        self.core.reset(self.coverage, unread);
-    }
-
-    /// Current `w(active)`.
-    #[inline]
-    pub fn weight(&self) -> usize {
-        self.core.weight()
-    }
-
-    /// Current active readers in insertion order.
-    pub fn active(&self) -> &[ReaderId] {
-        self.core.active()
-    }
-
-    /// `true` iff `v` is active.
-    pub fn is_active(&self, v: ReaderId) -> bool {
-        self.core.is_active(v)
-    }
-
-    /// `w({v})` against the snapshotted unread set.
-    pub fn singleton_weight(&self, v: ReaderId) -> usize {
-        self.core.singleton_weight(self.coverage, v)
-    }
-
-    /// Weight change if `v` were added, without committing.
-    pub fn delta_if_added(&self, v: ReaderId) -> isize {
-        self.core.delta_if_added(self.coverage, v)
-    }
-
-    /// Adds `v` to the active set; returns the weight delta.
-    pub fn add(&mut self, v: ReaderId) -> isize {
-        self.core.add(self.coverage, v)
-    }
-
-    /// Removes `v`; returns the weight delta.
-    pub fn remove(&mut self, v: ReaderId) -> isize {
-        self.core.remove(self.coverage, v)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -553,6 +418,25 @@ mod tests {
         (d, c)
     }
 
+    /// `w({v})` for every reader, counted from the geometry
+    /// ([`Deployment::covers`]) rather than from the coverage table.
+    fn covers_count(d: &Deployment, unread: &TagSet) -> Vec<usize> {
+        (0..d.n_readers())
+            .map(|v| {
+                (0..d.n_tags())
+                    .filter(|&t| d.covers(v, t) && unread.is_unread(t))
+                    .count()
+            })
+            .collect()
+    }
+
+    /// An empty core snapshotting `unread`.
+    fn core(c: &Coverage, unread: &TagSet) -> IncrementalCore {
+        let mut inc = IncrementalCore::new();
+        inc.reset(c, unread);
+        inc
+    }
+
     #[test]
     fn figure2_weights_match_paper_example() {
         let (_, c) = figure2();
@@ -584,19 +468,19 @@ mod tests {
         let mut w = WeightEvaluator::new(&c);
         unread.mark_all_read(&[0, 1]);
         assert_eq!(w.weight(&[0, 2], &unread), 2); // tags 2, 3 remain
-        assert_eq!(w.singleton_weight(0, &unread), 0); // A covers only tags 0, 1 — both read
-        assert_eq!(w.singleton_weight(1, &unread), 2); // B covers 1 (read), 2, 4
+        assert_eq!(singleton_weight(&c, 0, &unread), 0); // A covers only tags 0, 1 — both read
+        assert_eq!(singleton_weight(&c, 1, &unread), 2); // B covers 1 (read), 2, 4
     }
 
     #[test]
     fn singleton_weight_counts_all_covered_unread() {
-        let (_, c) = figure2();
+        let (d, c) = figure2();
         let unread = TagSet::all_unread(5);
-        let mut w = WeightEvaluator::new(&c);
-        assert_eq!(w.singleton_weight(0, &unread), 2); // tags 0, 1
-        assert_eq!(w.singleton_weight(1, &unread), 3); // tags 1, 2, 4
-        assert_eq!(w.singleton_weight(2, &unread), 2); // tags 2, 3
-        assert_eq!(w.all_singleton_weights(&unread), vec![2, 3, 2]);
+        assert_eq!(singleton_weight(&c, 0, &unread), 2); // tags 0, 1
+        assert_eq!(singleton_weight(&c, 1, &unread), 3); // tags 1, 2, 4
+        assert_eq!(singleton_weight(&c, 2, &unread), 2); // tags 2, 3
+        assert_eq!(all_singleton_weights(&c, &unread), vec![2, 3, 2]);
+        assert_eq!(covers_count(&d, &unread), vec![2, 3, 2]);
     }
 
     #[test]
@@ -615,15 +499,15 @@ mod tests {
         let (_, c) = figure2();
         let unread = TagSet::all_unread(5);
         let mut batch = WeightEvaluator::new(&c);
-        let mut inc = IncrementalWeight::new(&c, &unread);
+        let mut inc = core(&c, &unread);
         assert_eq!(inc.weight(), 0);
-        inc.add(0);
+        inc.add(&c, 0);
         assert_eq!(inc.weight(), batch.weight(&[0], &unread));
-        inc.add(1);
+        inc.add(&c, 1);
         assert_eq!(inc.weight(), batch.weight(&[0, 1], &unread));
-        inc.add(2);
+        inc.add(&c, 2);
         assert_eq!(inc.weight(), batch.weight(&[0, 1, 2], &unread));
-        inc.remove(1);
+        inc.remove(&c, 1);
         assert_eq!(inc.weight(), batch.weight(&[0, 2], &unread));
         assert_eq!(inc.active(), &[0, 2]);
     }
@@ -632,10 +516,10 @@ mod tests {
     fn peek_equals_commit_delta() {
         let (_, c) = figure2();
         let unread = TagSet::all_unread(5);
-        let mut inc = IncrementalWeight::new(&c, &unread);
-        inc.add(0);
-        let peek = inc.delta_if_added(1);
-        let actual = inc.add(1);
+        let mut inc = core(&c, &unread);
+        inc.add(&c, 0);
+        let peek = inc.delta_if_added(&c, 1);
+        let actual = inc.add(&c, 1);
         assert_eq!(peek, actual);
         // Adding B next to A costs the overlap tag: w {0} = 2 → w {0,1} = 3-?
         // A covers {0,1}; B covers {1,2,4}; overlap tag 1 → w = 1 + 2 = 3.
@@ -646,12 +530,12 @@ mod tests {
     fn add_remove_roundtrip_restores_weight() {
         let (_, c) = figure2();
         let unread = TagSet::all_unread(5);
-        let mut inc = IncrementalWeight::new(&c, &unread);
-        inc.add(0);
-        inc.add(2);
+        let mut inc = core(&c, &unread);
+        inc.add(&c, 0);
+        inc.add(&c, 2);
         let w = inc.weight();
-        inc.add(1);
-        inc.remove(1);
+        inc.add(&c, 1);
+        inc.remove(&c, 1);
         assert_eq!(inc.weight(), w);
         assert_eq!(inc.active(), &[0, 2]);
     }
@@ -660,12 +544,12 @@ mod tests {
     fn reset_resnapshots_unread() {
         let (_, c) = figure2();
         let mut unread = TagSet::all_unread(5);
-        let mut inc = IncrementalWeight::new(&c, &unread);
-        inc.add(0);
+        let mut inc = core(&c, &unread);
+        inc.add(&c, 0);
         assert_eq!(inc.weight(), 2);
         unread.mark_read(0);
-        inc.reset(&unread);
-        inc.add(0);
+        inc.reset(&c, &unread);
+        inc.add(&c, 0);
         assert_eq!(inc.weight(), 1);
     }
 
@@ -688,17 +572,16 @@ mod tests {
 
     #[test]
     fn singleton_tracker_matches_full_recompute() {
-        let (_, c) = figure2();
+        let (d, c) = figure2();
         let mut unread = TagSet::all_unread(5);
         let mut tracker = SingletonWeights::new(&c, &unread);
-        let mut full = WeightEvaluator::new(&c);
-        assert_eq!(tracker.as_slice(), full.all_singleton_weights(&unread));
+        assert_eq!(tracker.as_slice(), covers_count(&d, &unread));
         for batch in [vec![1usize], vec![0, 4], vec![2, 3]] {
-            unread.mark_all_read(&batch);
-            tracker.mark_all_read(&batch);
+            tracker.mark_all_read(&batch, &mut unread);
+            assert!(batch.iter().all(|&t| !unread.is_unread(t)));
             assert_eq!(
                 tracker.as_slice(),
-                full.all_singleton_weights(&unread),
+                covers_count(&d, &unread),
                 "after {batch:?}"
             );
         }
@@ -708,50 +591,39 @@ mod tests {
     #[test]
     fn singleton_tracker_marks_are_idempotent() {
         let (_, c) = figure2();
-        let unread = TagSet::all_unread(5);
+        let mut unread = TagSet::all_unread(5);
         let mut tracker = SingletonWeights::new(&c, &unread);
-        tracker.mark_read(1);
+        tracker.mark_all_read(&[1], &mut unread);
         let snapshot = tracker.as_slice().to_vec();
-        tracker.mark_read(1);
-        tracker.mark_all_read(&[1, 1]);
+        tracker.mark_all_read(&[1], &mut unread);
+        tracker.mark_all_read(&[1, 1], &mut unread);
         assert_eq!(tracker.as_slice(), snapshot);
+        assert_eq!(unread.remaining(), 4);
     }
 
     #[test]
     fn singleton_tracker_starts_from_partial_unread() {
-        let (_, c) = figure2();
+        let (d, c) = figure2();
         let mut unread = TagSet::all_unread(5);
         unread.mark_all_read(&[0, 2]);
         let tracker = SingletonWeights::new(&c, &unread);
-        let mut full = WeightEvaluator::new(&c);
-        assert_eq!(tracker.as_slice(), full.all_singleton_weights(&unread));
+        assert_eq!(tracker.as_slice(), covers_count(&d, &unread));
         assert_eq!(tracker.n_readers(), 3);
         assert_eq!(tracker.get(0), 1);
-    }
-
-    #[test]
-    fn rows_constructor_matches_the_scalar_one() {
-        let (_, c) = figure2();
-        let rows = crate::bits::CoverageRows::build(&c);
-        let mut unread = TagSet::all_unread(5);
-        unread.mark_read(3);
-        let scalar = SingletonWeights::new(&c, &unread);
-        let popcnt = SingletonWeights::from_rows(&c, &rows, &unread);
-        assert_eq!(scalar.as_slice(), popcnt.as_slice());
     }
 
     #[test]
     fn incremental_singleton_uses_the_snapshot() {
         let (_, c) = figure2();
         let mut unread = TagSet::all_unread(5);
-        let inc = IncrementalWeight::new(&c, &unread);
-        assert_eq!(inc.singleton_weight(1), 3);
+        let mut inc = core(&c, &unread);
+        // On an empty active set the add-delta is w({v}).
+        assert_eq!(inc.delta_if_added(&c, 1), 3);
         // Mutating the TagSet afterwards must not affect the snapshot.
         unread.mark_read(4);
-        assert_eq!(inc.singleton_weight(1), 3);
-        let mut rebound = inc.clone();
-        rebound.reset(&unread);
-        assert_eq!(rebound.singleton_weight(1), 2);
+        assert_eq!(inc.delta_if_added(&c, 1), 3);
+        inc.reset(&c, &unread);
+        assert_eq!(inc.delta_if_added(&c, 1), 2);
     }
 
     #[test]
@@ -759,8 +631,8 @@ mod tests {
     fn double_add_panics() {
         let (_, c) = figure2();
         let unread = TagSet::all_unread(5);
-        let mut inc = IncrementalWeight::new(&c, &unread);
-        inc.add(0);
-        inc.add(0);
+        let mut inc = core(&c, &unread);
+        inc.add(&c, 0);
+        inc.add(&c, 0);
     }
 }

@@ -4,8 +4,8 @@ use proptest::prelude::*;
 use rfid_geometry::{Point, Rect};
 use rfid_model::interference::{interference_graph, interference_graph_naive};
 use rfid_model::{
-    audit_activation, Coverage, Deployment, RadiusModel, Scenario, ScenarioKind, TagSet,
-    WeightEvaluator,
+    all_singleton_weights, audit_activation, singleton_weight, Coverage, Deployment,
+    IncrementalCore, RadiusModel, Scenario, ScenarioKind, TagSet, WeightEvaluator,
 };
 
 /// Arbitrary valid deployment (readers + tags in a 100×100 region).
@@ -71,6 +71,17 @@ fn arb_lattice_deployment() -> impl Strategy<Value = Deployment> {
         })
 }
 
+/// `m` tags with every `read[i] % m` marked read.
+fn partly_read(m: usize, read: &[usize]) -> TagSet {
+    let mut unread = TagSet::all_unread(m);
+    if m > 0 {
+        for &t in read {
+            unread.mark_read(t % m);
+        }
+    }
+    unread
+}
+
 fn arb_subset(n: usize) -> impl Strategy<Value = Vec<usize>> {
     proptest::collection::vec(0..n, 0..n.min(12)).prop_map(|mut v| {
         v.sort_unstable();
@@ -133,40 +144,77 @@ proptest! {
         }
     }
 
+    /// The singleton function equals a count taken from the geometry
+    /// (`Deployment::covers`) on partly read sets, and bounds the batch
+    /// weight from above the way sub-additivity says it must.
     #[test]
-    fn weight_bounds(d in arb_deployment(), seed in 0u64..100) {
+    fn weight_bounds(
+        d in arb_deployment(),
+        seed in 0u64..100,
+        read_tags in proptest::collection::vec(0usize..120, 0..80),
+    ) {
         let c = Coverage::build(&d);
-        let unread = TagSet::all_unread(d.n_tags());
+        let unread = partly_read(d.n_tags(), &read_tags);
         let mut w = WeightEvaluator::new(&c);
         let set: Vec<usize> = (0..d.n_readers()).filter(|v| (v * 7 + seed as usize).is_multiple_of(3)).collect();
         let weight = w.weight(&set, &unread);
-        // bounded by total tags and by sum of singleton weights
-        prop_assert!(weight <= d.n_tags());
-        let singleton_sum: usize = set.iter().map(|&v| w.singleton_weight(v, &unread)).sum();
-        prop_assert!(weight <= singleton_sum);
-        // singleton weight equals tag list length on a fresh set
-        for &v in &set {
-            prop_assert_eq!(w.singleton_weight(v, &unread), c.tags_of(v).len());
+        prop_assert!(weight <= unread.remaining());
+        let singletons = all_singleton_weights(&c, &unread);
+        prop_assert_eq!(singletons.len(), d.n_readers());
+        for (v, &all_form) in singletons.iter().enumerate() {
+            let covered = (0..d.n_tags())
+                .filter(|&t| d.covers(v, t) && unread.is_unread(t))
+                .count();
+            prop_assert_eq!(singleton_weight(&c, v, &unread), covered, "reader {}", v);
+            prop_assert_eq!(all_form, covered, "reader {}", v);
         }
+        let singleton_sum: usize = set.iter().map(|&v| singletons[v]).sum();
+        prop_assert!(weight <= singleton_sum);
     }
 
+    /// The incremental engine against the batch evaluator on random
+    /// add/remove walks over partly read sets: the running weight, every
+    /// peeked add-delta, and the reports of `add_reporting`, which summed
+    /// onto each reader's delta before the add must give its delta after.
     #[test]
     fn incremental_matches_batch_on_random_walks(
         d in arb_deployment(),
         ops in proptest::collection::vec((0usize..25, proptest::bool::ANY), 1..40),
+        read_tags in proptest::collection::vec(0usize..120, 0..80),
     ) {
         let c = Coverage::build(&d);
-        let unread = TagSet::all_unread(d.n_tags());
-        let mut inc = rfid_model::IncrementalWeight::new(&c, &unread);
+        let n = d.n_readers();
+        let unread = partly_read(d.n_tags(), &read_tags);
+        let mut inc = IncrementalCore::new();
+        inc.reset(&c, &unread);
         let mut batch = WeightEvaluator::new(&c);
         let mut active: Vec<usize> = Vec::new();
         for (vr, add) in ops {
-            let v = vr % d.n_readers();
+            let v = vr % n;
             if add && !inc.is_active(v) {
-                inc.add(v);
+                let before = batch.weight(&active, &unread) as isize;
                 active.push(v);
+                let after = batch.weight(&active, &unread) as isize;
+                prop_assert_eq!(inc.delta_if_added(&c, v), after - before, "peek {}", v);
+                let deltas: Vec<Option<isize>> = (0..n)
+                    .map(|u| (u != v && !inc.is_active(u)).then(|| inc.delta_if_added(&c, u)))
+                    .collect();
+                let mut reported = vec![0isize; n];
+                prop_assert_eq!(
+                    inc.add_reporting(&c, v, |u, change| reported[u] += change),
+                    after - before
+                );
+                for u in 0..n {
+                    if let Some(delta) = deltas[u] {
+                        prop_assert_eq!(
+                            delta + reported[u],
+                            inc.delta_if_added(&c, u),
+                            "reader {} after adding {}", u, v
+                        );
+                    }
+                }
             } else if !add && inc.is_active(v) {
-                inc.remove(v);
+                inc.remove(&c, v);
                 active.retain(|&x| x != v);
             }
             prop_assert_eq!(inc.weight(), batch.weight(&active, &unread));

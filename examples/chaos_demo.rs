@@ -12,7 +12,7 @@
 
 use rfid_core::{DistributedScheduler, OneShotInput, OneShotScheduler, TraceEvent};
 use rfid_model::interference::interference_graph;
-use rfid_model::{Coverage, RadiusModel, Scenario, ScenarioKind, TagSet, WeightEvaluator};
+use rfid_model::{singleton_weight, Coverage, RadiusModel, Scenario, ScenarioKind, TagSet};
 use rfid_netsim::FaultPlan;
 use rfid_sim::SlotSimulator;
 
@@ -42,9 +42,8 @@ fn main() {
     );
 
     // The heaviest reader is the likely head — the worst one to lose.
-    let mut weights = WeightEvaluator::new(&coverage);
     let heaviest = (0..deployment.n_readers())
-        .max_by_key(|&v| (weights.singleton_weight(v, &unread), v))
+        .max_by_key(|&v| (singleton_weight(&coverage, v, &unread), v))
         .expect("non-empty deployment");
 
     let regimes = [

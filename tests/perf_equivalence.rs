@@ -12,9 +12,9 @@
 //!   radius mixes, schedulers and crash sets;
 //! * every scheduler must return the same set with and without the
 //!   driver-provided singleton weights attached to its input;
-//! * the packed-bitset scoring layer ([`CoverageRows`]/[`PlaneScratch`])
-//!   must agree element-wise with the eager per-tag [`WeightEvaluator`]
-//!   on weights, well-covered sets, singleton rows and add-deltas;
+//! * the packed-bitset extraction layer ([`CoverageRows`]/[`PlaneScratch`])
+//!   must serve exactly the eager [`WeightEvaluator`]'s well-covered tags,
+//!   in either plane mode and after live-row compaction;
 //! * per-slot scratch allocation must be *flat*: the `mcs.alloc` feed
 //!   shows warmup confined to the first slot and zero on a warm rerun,
 //!   including on the resilient audit/repair path.
@@ -28,9 +28,16 @@ use rfid_graph::Csr;
 use rfid_model::interference::interference_graph;
 use rfid_model::scenario::{Scenario, ScenarioKind};
 use rfid_model::{
-    audit_activation, Coverage, CoverageRows, Deployment, PlaneScratch, RadiusModel, ReaderId,
-    TagId, TagSet, WeightEvaluator,
+    all_singleton_weights, audit_activation, singleton_weight, Coverage, CoverageRows, Deployment,
+    PlaneScratch, RadiusModel, ReaderId, TagId, TagSet, WeightEvaluator,
 };
+
+/// The tags `planes` serves against `unread`, ascending.
+fn extract(planes: &mut PlaneScratch, unread: &TagSet) -> Vec<TagId> {
+    let mut out = Vec::new();
+    planes.well_covered_into(unread.words(), &mut out);
+    out
+}
 
 fn scenario(n_readers: usize, li: f64, lr: f64) -> Scenario {
     Scenario {
@@ -80,7 +87,7 @@ fn reference_covering_schedule(
                 coverable: coverable_total,
             };
             let best = (0..deployment.n_readers())
-                .max_by_key(|&v| (weights.singleton_weight(v, &unread), std::cmp::Reverse(v)))
+                .max_by_key(|&v| (singleton_weight(coverage, v, &unread), std::cmp::Reverse(v)))
                 .ok_or(stall.clone())?;
             active = vec![best];
             served = weights.well_covered(&active, &unread);
@@ -173,8 +180,8 @@ fn reference_resilient(
             }
             let (a, b) = audit.rtc_pairs[0];
             let (wa, wb) = (
-                weights.singleton_weight(a, &unread),
-                weights.singleton_weight(b, &unread),
+                singleton_weight(coverage, a, &unread),
+                singleton_weight(coverage, b, &unread),
             );
             let victim = if wa <= wb { a } else { b };
             active.retain(|&u| u != victim);
@@ -185,7 +192,7 @@ fn reference_resilient(
         if served.is_empty() {
             let best = (0..deployment.n_readers())
                 .filter(|v| !crashed.contains(v))
-                .max_by_key(|&v| (weights.singleton_weight(v, &unread), std::cmp::Reverse(v)));
+                .max_by_key(|&v| (singleton_weight(coverage, v, &unread), std::cmp::Reverse(v)));
             match best {
                 Some(best) => {
                     active = vec![best];
@@ -337,8 +344,7 @@ proptest! {
         for t in read_tags {
             unread.mark_read(t % d.n_tags());
         }
-        let singleton: Vec<usize> =
-            WeightEvaluator::new(&c).all_singleton_weights(&unread);
+        let singleton = all_singleton_weights(&c, &unread);
         let positive: Vec<ReaderId> = (0..singleton.len()).filter(|&v| singleton[v] > 0).collect();
         let plain = OneShotInput::new(&d, &c, &g, &unread);
         let hinted = OneShotInput::with_weights(&d, &c, &g, &unread, &singleton, &positive);
@@ -347,10 +353,9 @@ proptest! {
         prop_assert_eq!(a, b, "{:?} seed {}", kind, seed);
     }
 
-    /// The packed-bitset scoring layer agrees with the eager per-tag
-    /// evaluator on every quantity the drivers consume: set weight, the
-    /// well-covered tag list (same order), all singleton weights, and the
-    /// popcount add-delta `Δ(v) = w(S ∪ {v}) − w(S)`.
+    /// The packed-bitset layer serves exactly what the eager per-tag
+    /// evaluator calls well covered (same tags, same order), so its
+    /// weight is the served count.
     #[test]
     fn bitset_layer_matches_eager_evaluator(
         seed in 0u64..1000,
@@ -371,40 +376,19 @@ proptest! {
         let rows = CoverageRows::build(&c);
         let mut planes = PlaneScratch::new();
         planes.ensure(rows.n_words());
-        planes.clear();
         for &v in &active {
             planes.add(&rows, v);
         }
         let mut eager = WeightEvaluator::new(&c);
-        prop_assert_eq!(planes.weight(unread.words()), eager.weight(&active, &unread));
-        let mut got = Vec::new();
-        planes.well_covered_into(unread.words(), &mut got);
-        prop_assert_eq!(&got, &eager.well_covered(&active, &unread));
-        prop_assert_eq!(
-            rows.all_singleton_weights(&unread),
-            eager.all_singleton_weights(&unread)
-        );
-        let base = eager.weight(&active, &unread) as isize;
-        for v in 0..n_readers {
-            if active.contains(&v) {
-                continue;
-            }
-            let mut with_v = active.clone();
-            with_v.push(v);
-            let expect = eager.weight(&with_v, &unread) as isize - base;
-            prop_assert_eq!(
-                planes.delta_if_added(&rows, v, unread.words()),
-                expect,
-                "reader {}",
-                v
-            );
-        }
+        let served = extract(&mut planes, &unread);
+        prop_assert_eq!(&served, &eager.well_covered(&active, &unread));
+        prop_assert_eq!(served.len(), eager.weight(&active, &unread));
     }
 
     /// Live-row compaction is invisible downstream: planes built from
     /// rows compacted against *any* intermediate unread snapshot extract
-    /// the same well-covered set and weight against the current unread
-    /// words as planes built from the pristine rows — the positions a
+    /// the eager evaluator's well-covered set against the current unread
+    /// words, as planes built from the pristine rows do — the positions a
     /// compaction drops are exactly the ones the final intersection
     /// zeroes. Compacted rows must also stay structurally sound (counts
     /// match popcounts, incidences shrink monotonically).
@@ -438,15 +422,17 @@ proptest! {
         let live = compacted.retain_unread(snapshot.words());
         prop_assert_eq!(live, compacted.incidences(), "returned live count must match");
         prop_assert!(live <= before, "compaction can only shrink");
-        let extract = |rows: &CoverageRows| {
+        let served = |rows: &CoverageRows| {
             let mut planes = PlaneScratch::new();
             planes.ensure(rows.n_words());
             planes.add_all(rows, &active);
-            let mut out = Vec::new();
-            planes.well_covered_into(now.words(), &mut out);
-            (planes.weight(now.words()), out)
+            extract(&mut planes, &now)
         };
-        prop_assert_eq!(extract(&pristine), extract(&compacted));
+        let mut eager = WeightEvaluator::new(&c);
+        let expect = eager.well_covered(&active, &now);
+        prop_assert_eq!(expect.len(), eager.weight(&active, &now));
+        prop_assert_eq!(&served(&pristine), &expect);
+        prop_assert_eq!(&served(&compacted), &expect);
     }
 
     /// The radius-0/1 fast paths of `ball_into` agree with the generic
@@ -494,10 +480,10 @@ proptest! {
         }
     }
 
-    /// Dense mode is a strategy, not a semantics: forcing it (or letting
-    /// `add_all` choose it) yields the same planes and extraction as
-    /// sparse per-reader adds, and the scratch survives mode round-trips
-    /// across reuse.
+    /// Dense mode is a strategy, not a semantics: a heavy activation,
+    /// which `add_all` adds in dense mode, and per-reader sparse adds
+    /// both serve the eager evaluator's well-covered tags, and one scratch
+    /// cleared out of either mode serves like a fresh one.
     #[test]
     fn dense_and_sparse_plane_modes_agree(
         seed in 0u64..1000,
@@ -516,30 +502,26 @@ proptest! {
             active_sel.into_iter().map(|v| v % n_readers).collect();
         active.sort_unstable();
         active.dedup();
-        let mut sparse = PlaneScratch::new();
-        sparse.ensure(rows.n_words());
-        for &v in &active {
-            sparse.add(&rows, v);
+        // Every reader at once: its row mass reaches half the plane, the
+        // threshold at which `add_all` switches to dense mode.
+        let heavy: Vec<ReaderId> = (0..n_readers).collect();
+        let mass: usize = heavy.iter().map(|&v| rows.row_words(v)).sum();
+        prop_assert!(mass >= rows.n_words() / 2, "activation is not heavy");
+        let mut eager = WeightEvaluator::new(&c);
+        let (want_heavy, want_active) =
+            (eager.well_covered(&heavy, &unread), eager.well_covered(&active, &unread));
+        let mut planes = PlaneScratch::new();
+        planes.ensure(rows.n_words());
+        for round in 0..2 {
+            planes.add_all(&rows, &heavy);
+            prop_assert_eq!(&extract(&mut planes, &unread), &want_heavy, "dense, round {}", round);
+            planes.clear();
+            for &v in &active {
+                planes.add(&rows, v);
+            }
+            prop_assert_eq!(&extract(&mut planes, &unread), &want_active, "sparse, round {}", round);
+            planes.clear();
         }
-        let mut dense = PlaneScratch::new();
-        dense.ensure(rows.n_words());
-        dense.make_dense();
-        for &v in &active {
-            dense.add(&rows, v);
-        }
-        prop_assert_eq!(sparse.planes(), dense.planes());
-        prop_assert_eq!(sparse.weight(unread.words()), dense.weight(unread.words()));
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        sparse.well_covered_into(unread.words(), &mut a);
-        dense.well_covered_into(unread.words(), &mut b);
-        prop_assert_eq!(&a, &b);
-        // Mode round-trip: a dense clear resets the planes completely, so
-        // a sparse rebuild on the same scratch matches a fresh one.
-        dense.clear();
-        for &v in &active {
-            dense.add(&rows, v);
-        }
-        prop_assert_eq!(sparse.planes(), dense.planes());
     }
 }
 
